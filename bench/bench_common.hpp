@@ -31,11 +31,12 @@ namespace ecocloud::bench {
 inline constexpr sim::SimTime kWarmup = 6.0 * sim::kHour;
 
 /// True high-water resident set size of this process in MB, from the
-/// kernel's VmHWM counter in /proc/self/status — the peak over the whole
-/// process lifetime, which is what a memory *budget* must be checked
-/// against (a current-RSS sample at measurement time misses transients
-/// like trace generation). Falls back to getrusage's ru_maxrss (also a
-/// high-water mark, but coarser on some kernels) where /proc is absent.
+/// kernel's VmHWM counter in /proc/self/status — the peak since the
+/// process started or the last reset_peak_rss(), which is what a memory
+/// *budget* must be checked against (a current-RSS sample at measurement
+/// time misses transients like trace generation). Falls back to
+/// getrusage's ru_maxrss (also a high-water mark, but coarser on some
+/// kernels) where /proc is absent.
 inline double peak_rss_mb() {
   if (std::FILE* status = std::fopen("/proc/self/status", "r")) {
     char line[256];
@@ -51,6 +52,16 @@ inline double peak_rss_mb() {
   rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+/// Reset VmHWM to the current RSS (writes 5 to /proc/self/clear_refs), so
+/// the next peak_rss_mb() covers only what follows — one bench row, not
+/// the largest row before it. A no-op where that file is absent.
+inline void reset_peak_rss() {
+  if (std::FILE* f = std::fopen("/proc/self/clear_refs", "w")) {
+    std::fputs("5", f);
+    std::fclose(f);
+  }
 }
 
 /// The paper's Sec. III configuration plus warm-up.

@@ -22,8 +22,10 @@
 //                the sharded engine streams too — see planet100k).
 //   ci         — reduced smoke: 100 servers / 1,500 VMs / 6 h (CI runners).
 //
-// Output: one JSON object per run (events, wall seconds, events/sec,
-// peak RSS, heap allocations, execution mode/shards/threads) written to
+// Output: one JSON object per run (events, set-up seconds — the scenario
+// or runner constructor, trace generation included — wall seconds of the
+// run after it, events/sec, the row's own peak RSS (VmHWM is reset before
+// each row), heap allocations, execution mode/shards/threads) written to
 // --out (default BENCH_engine.json). The file also records
 // host_hardware_threads — sharded-mode wall times are only meaningful
 // relative to that number; on a single-core host every thread count
@@ -142,6 +144,7 @@ struct EngineRun {
   std::size_t vms = 0;
   double sim_hours = 0.0;  // reported horizon, warm-up excluded
   std::uint64_t events = 0;
+  double setup_s = 0.0;  // the scenario / runner constructor, traces included
   double wall_s = 0.0;
   double events_per_sec = 0.0;
   double peak_rss_mb = 0.0;
@@ -151,6 +154,11 @@ struct EngineRun {
   double energy_kwh = 0.0;
   ProfileResult profile;
 };
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 void print_row(const EngineRun& r) {
   std::printf("%s,%s,%zu,%zu,%zu,%zu,%.0f,%llu,%.3f,%.0f,%.1f,%llu\n",
@@ -168,7 +176,10 @@ EngineRun run_scenario_config_once(const char* name,
   out.vms = config.num_vms;
   out.sim_hours = hours;
 
+  bench::reset_peak_rss();
+  const auto setup_start = std::chrono::steady_clock::now();
   scenario::DailyScenario daily(std::move(config));
+  out.setup_s = seconds_since(setup_start);
 
   std::optional<util::PhaseProfiler> profiler;
   if (g_profile) profiler.emplace(1);
@@ -244,7 +255,10 @@ EngineRun run_sharded_scenario_config_once(const char* name,
   out.vms = config.num_vms;
   out.sim_hours = hours;
 
+  bench::reset_peak_rss();
+  const auto setup_start = std::chrono::steady_clock::now();
   par::ShardedDailyRun run(config, {.shards = shards, .threads = threads});
+  out.setup_s = seconds_since(setup_start);
 
   std::optional<util::PhaseProfiler> profiler;
   if (g_profile) {
@@ -321,6 +335,7 @@ void write_json(const std::string& path, const std::vector<EngineRun>& runs) {
                  "      \"vms\": %zu,\n"
                  "      \"sim_hours\": %.1f,\n"
                  "      \"events\": %llu,\n"
+                 "      \"setup_seconds\": %.6f,\n"
                  "      \"wall_seconds\": %.3f,\n"
                  "      \"events_per_sec\": %.1f,\n"
                  "      \"peak_rss_mb\": %.1f,\n"
@@ -331,7 +346,7 @@ void write_json(const std::string& path, const std::vector<EngineRun>& runs) {
                  "      \"energy_kwh\": %.3f%s\n",
                  r.name.c_str(), r.mode.c_str(), r.shards, r.threads,
                  r.servers, r.vms, r.sim_hours,
-                 static_cast<unsigned long long>(r.events), r.wall_s,
+                 static_cast<unsigned long long>(r.events), r.setup_s, r.wall_s,
                  r.events_per_sec, r.peak_rss_mb,
                  static_cast<unsigned long long>(r.allocations),
                  r.events > 0

@@ -13,8 +13,8 @@
 /// simulation progresses.
 ///
 /// Bit-compatibility contract: generate() consumes the shared RNG in
-/// EXACTLY the order TraceSet::generate does (avg, ram, then the series
-/// block of 1 + num_steps normal draws per VM), and the lazily produced
+/// EXACTLY the order TraceSet::generate does (both draw each row through
+/// WorkloadModel::draw_row), and the lazily produced
 /// demand at (v, k) equals TraceSet's series value bit for bit (same
 /// draws, same arithmetic, same clamp). A scenario that swaps TraceSet
 /// for StreamingTraces therefore produces the identical event stream —
@@ -53,9 +53,9 @@ class StreamingTraces {
  public:
   /// Set up cursors for \p num_vms VMs of \p num_steps samples each,
   /// consuming \p rng exactly as TraceSet::generate(model, num_vms,
-  /// num_steps, rng) would. O(num_vms x num_steps) time (the generation
-  /// draws must be replayed to keep the stream aligned) but O(num_vms)
-  /// memory.
+  /// num_steps, rng) would: generate_partitioned() with one bank.
+  /// O(num_vms) memory; O(num_vms x num_steps) raw generator steps to skip
+  /// each row's series block but only O(num_vms) Box-Muller transforms.
   static StreamingTraces generate(const WorkloadModel& model,
                                   std::size_t num_vms, std::size_t num_steps,
                                   util::Rng& rng);
@@ -85,8 +85,8 @@ class StreamingTraces {
   /// cursor. Draws no shared randomness.
   void adopt_row(std::size_t v, const StreamingTraces& home);
   [[nodiscard]] std::size_t num_steps() const { return num_steps_; }
-  [[nodiscard]] sim::SimTime sample_period_s() const { return sample_period_s_; }
-  [[nodiscard]] double reference_mhz() const { return reference_mhz_; }
+  [[nodiscard]] sim::SimTime sample_period_s() const { return config_.sample_period_s; }
+  [[nodiscard]] double reference_mhz() const { return config_.reference_mhz; }
 
   /// Average utilization (percent) drawn for VM \p v.
   [[nodiscard]] double average_percent(std::size_t v) const {
@@ -116,7 +116,7 @@ class StreamingTraces {
 
   /// Demand (MHz) of VM \p v at the current step.
   [[nodiscard]] double demand_mhz_current(std::size_t v) const {
-    return percent_current(v) / 100.0 * reference_mhz_;
+    return percent_current(v) / 100.0 * config_.reference_mhz;
   }
 
  private:
@@ -139,13 +139,8 @@ class StreamingTraces {
 
   std::size_t num_steps_ = 0;
   std::size_t current_step_ = 0;
-  sim::SimTime sample_period_s_ = 300.0;
-  double reference_mhz_ = 2000.0;
-  // AR(1) parameters shared by all cursors (from WorkloadConfig).
-  double ar1_rho_ = 0.0;
-  double dev_base_ = 0.0;
-  double dev_slope_ = 0.0;
-  DiurnalPattern diurnal_{};
+  /// The generating model's parameters, shared by all cursors.
+  WorkloadConfig config_;
 
   // Per-VM columns (DESIGN.md §14: ~76 bytes/VM, horizon-independent).
   std::vector<double> averages_;

@@ -53,6 +53,18 @@ struct WorkloadConfig {
   double ram_max_mb = 4096.0;
 };
 
+/// One synthetic trace row, as WorkloadModel::draw_row takes it from the
+/// shared generation stream.
+struct TraceRow {
+  double average_percent = 0.0;
+  double ram_mb = 0.0;
+  /// The AR(1) deviation at step 0, drawn from its stationary distribution.
+  double deviation = 0.0;
+  /// The row's own copy of the series block, ready to draw the step-1
+  /// innovation and then one per step.
+  util::Rng cursor;
+};
+
 /// Samples per-VM averages and generates punctual utilization series.
 class WorkloadModel {
  public:
@@ -74,6 +86,18 @@ class WorkloadModel {
   /// computed from the bin table (useful for sizing experiments).
   [[nodiscard]] static double expected_average_percent();
 
+  /// Draw one trace row from the shared stream \p rng in the order every
+  /// trace generator uses: average, RAM, then a series block of
+  /// 1 + \p num_steps normals — the stationary deviation and one innovation
+  /// per step. The row's cursor draws the deviation and keeps the rest of
+  /// the block; \p rng skips the whole block exactly (Rng::discard_normals).
+  [[nodiscard]] TraceRow draw_row(util::Rng& rng, std::size_t num_steps) const;
+
+  /// g(t) at the \p num_steps sample times from \p start_time: the diurnal
+  /// term every VM's series shares, computed once per step.
+  [[nodiscard]] std::vector<double> diurnal_factors(
+      std::size_t num_steps, sim::SimTime start_time = 0.0) const;
+
   /// Generate a punctual utilization series (percent) of \p num_steps
   /// samples for a VM with the given average, starting at \p start_time.
   /// Deviations evolve as AR(1); values are clamped to [0, 100].
@@ -82,12 +106,26 @@ class WorkloadModel {
                                                    std::size_t num_steps,
                                                    sim::SimTime start_time = 0.0) const;
 
+  /// The series of a drawn \p row over precomputed diurnal_factors(), one
+  /// sample each; draws the innovations from row.cursor.
+  [[nodiscard]] std::vector<float> generate_series(
+      TraceRow& row, const std::vector<double>& diurnal) const;
+
   /// Convert a utilization percentage to MHz demand under this model.
   [[nodiscard]] double percent_to_mhz(double percent) const {
     return percent / 100.0 * config_.reference_mhz;
   }
 
  private:
+  /// Stationary standard deviation of the AR(1) deviation for \p avg_percent.
+  [[nodiscard]] double deviation_sigma(double avg_percent) const {
+    return config_.dev_base + config_.dev_slope * avg_percent;
+  }
+
+  [[nodiscard]] std::vector<float> series_from(
+      util::Rng& rng, double avg_percent, double dev,
+      const std::vector<double>& diurnal) const;
+
   WorkloadConfig config_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "ecocloud/util/validation.hpp"
 
@@ -11,57 +12,8 @@ StreamingTraces StreamingTraces::generate(const WorkloadModel& model,
                                           std::size_t num_vms,
                                           std::size_t num_steps,
                                           util::Rng& rng) {
-  util::require(num_vms > 0, "StreamingTraces::generate: num_vms must be > 0");
-  util::require(num_steps > 0, "StreamingTraces::generate: num_steps must be > 0");
-  const WorkloadConfig& config = model.config();
-
-  StreamingTraces set;
-  set.num_steps_ = num_steps;
-  set.sample_period_s_ = config.sample_period_s;
-  set.reference_mhz_ = config.reference_mhz;
-  set.ar1_rho_ = config.ar1_rho;
-  set.dev_base_ = config.dev_base;
-  set.dev_slope_ = config.dev_slope;
-  set.diurnal_ = config.diurnal;
-  set.total_vms_ = num_vms;
-  set.averages_.reserve(num_vms);
-  set.ram_mb_.reserve(num_vms);
-  set.dev_.reserve(num_vms);
-  set.values_.reserve(num_vms);
-  set.cursors_.reserve(num_vms);
-
-  const double rho = config.ar1_rho;
-  // Computed exactly as WorkloadModel::generate_series computes it, so the
-  // lazily drawn samples match the materialized ones bit for bit.
-  const double stationary_to_innovation = std::sqrt(1.0 - rho * rho);
-
-  for (std::size_t v = 0; v < num_vms; ++v) {
-    const double avg = model.sample_average_percent(rng);
-    set.averages_.push_back(avg);
-    set.ram_mb_.push_back(model.sample_ram_mb(rng));
-
-    const double sigma = config.dev_base + config.dev_slope * avg;
-    const double innovation_scale = sigma * stationary_to_innovation;
-
-    // Capture this VM's cursor at the start of its series block, then
-    // advance the shared stream past the block by replaying the exact
-    // draws TraceSet::generate would burn (1 stationary + num_steps
-    // innovations), keeping VM v+1's average/ram/series draws aligned
-    // with the materialized generator.
-    set.cursors_.push_back(rng);
-    (void)rng.normal(0.0, sigma);
-    for (std::size_t k = 0; k < num_steps; ++k) {
-      (void)rng.normal(0.0, innovation_scale);
-    }
-
-    // Position the lazy state at step 0 from the private cursor: after the
-    // stationary draw it is ready to produce the step-1 innovation.
-    const double dev0 = set.cursors_.back().normal(0.0, sigma);
-    set.dev_.push_back(dev0);
-    const double base = avg * set.diurnal_.value(0.0);
-    set.values_.push_back(static_cast<float>(std::clamp(base + dev0, 0.0, 100.0)));
-  }
-  return set;
+  return std::move(
+      generate_partitioned(model, num_vms, num_steps, rng, 1).front());
 }
 
 std::vector<StreamingTraces> StreamingTraces::generate_partitioned(
@@ -73,19 +25,13 @@ std::vector<StreamingTraces> StreamingTraces::generate_partitioned(
                 "StreamingTraces::generate_partitioned: num_vms must be > 0");
   util::require(num_steps > 0,
                 "StreamingTraces::generate_partitioned: num_steps must be > 0");
-  const WorkloadConfig& config = model.config();
 
   std::vector<StreamingTraces> banks;
   banks.reserve(num_banks);
   for (std::size_t k = 0; k < num_banks; ++k) {
     StreamingTraces bank;
     bank.num_steps_ = num_steps;
-    bank.sample_period_s_ = config.sample_period_s;
-    bank.reference_mhz_ = config.reference_mhz;
-    bank.ar1_rho_ = config.ar1_rho;
-    bank.dev_base_ = config.dev_base;
-    bank.dev_slope_ = config.dev_slope;
-    bank.diurnal_ = config.diurnal;
+    bank.config_ = model.config();
     bank.stride_ = num_banks;
     bank.offset_ = k;
     bank.total_vms_ = num_vms;
@@ -99,33 +45,22 @@ std::vector<StreamingTraces> StreamingTraces::generate_partitioned(
     banks.push_back(std::move(bank));
   }
 
-  const double rho = config.ar1_rho;
-  const double stationary_to_innovation = std::sqrt(1.0 - rho * rho);
-
-  // One pass over the shared stream in generate()'s exact draw order; only
-  // the bank each row's columns land in differs. Row v is stored at slot
-  // v / num_banks of bank v % num_banks, so the per-bank append order is
-  // the global row order restricted to the bank — slot() stays arithmetic.
+  const double diurnal0 = model.config().diurnal.value(0.0);
+  // One pass over the shared stream, drawing each row as TraceSet::generate
+  // does; only the bank each row's columns land in differs. Row v is stored
+  // at slot v / num_banks of bank v % num_banks, so the per-bank append
+  // order is the global row order restricted to the bank — slot() stays
+  // arithmetic.
   for (std::size_t v = 0; v < num_vms; ++v) {
     StreamingTraces& bank = banks[v % num_banks];
-    const double avg = model.sample_average_percent(rng);
-    bank.averages_.push_back(avg);
-    bank.ram_mb_.push_back(model.sample_ram_mb(rng));
-
-    const double sigma = config.dev_base + config.dev_slope * avg;
-    const double innovation_scale = sigma * stationary_to_innovation;
-
-    bank.cursors_.push_back(rng);
-    (void)rng.normal(0.0, sigma);
-    for (std::size_t k = 0; k < num_steps; ++k) {
-      (void)rng.normal(0.0, innovation_scale);
-    }
-
-    const double dev0 = bank.cursors_.back().normal(0.0, sigma);
-    bank.dev_.push_back(dev0);
-    const double base = avg * bank.diurnal_.value(0.0);
+    const TraceRow row = model.draw_row(rng, num_steps);
+    const double base = row.average_percent * diurnal0;
+    bank.averages_.push_back(row.average_percent);
+    bank.ram_mb_.push_back(row.ram_mb);
+    bank.dev_.push_back(row.deviation);
     bank.values_.push_back(
-        static_cast<float>(std::clamp(base + dev0, 0.0, 100.0)));
+        static_cast<float>(std::clamp(base + row.deviation, 0.0, 100.0)));
+    bank.cursors_.push_back(row.cursor);
   }
   return banks;
 }
@@ -167,7 +102,7 @@ void StreamingTraces::adopt_row(std::size_t v, const StreamingTraces& home) {
 
 std::size_t StreamingTraces::step_at(sim::SimTime t) const {
   util::require(t >= 0.0, "StreamingTraces::step_at: negative time");
-  return static_cast<std::size_t>(t / sample_period_s_);
+  return static_cast<std::size_t>(t / config_.sample_period_s);
 }
 
 void StreamingTraces::advance_to(std::size_t step) {
@@ -175,21 +110,21 @@ void StreamingTraces::advance_to(std::size_t step) {
                 "StreamingTraces::advance_to: cursors cannot rewind");
   util::require(step < num_steps_,
                 "StreamingTraces::advance_to: step beyond generated horizon");
-  const double rho = ar1_rho_;
+  const double rho = config_.ar1_rho;
   const double stationary_to_innovation = std::sqrt(1.0 - rho * rho);
   const std::size_t n = averages_.size();
   while (current_step_ < step) {
     ++current_step_;
-    const sim::SimTime t =
-        static_cast<double>(current_step_) * sample_period_s_;
+    const double diurnal = config_.diurnal.value(static_cast<double>(current_step_) *
+                                                 config_.sample_period_s);
     for (std::size_t v = 0; v < n; ++v) {
       const double avg = averages_[v];
-      const double sigma = dev_base_ + dev_slope_ * avg;
+      const double sigma = config_.dev_base + config_.dev_slope * avg;
       const double innovation_scale = sigma * stationary_to_innovation;
       const double dev =
           rho * dev_[v] + cursors_[v].normal(0.0, innovation_scale);
       dev_[v] = dev;
-      const double base = avg * diurnal_.value(t);
+      const double base = avg * diurnal;
       values_[v] = static_cast<float>(std::clamp(base + dev, 0.0, 100.0));
     }
   }

@@ -20,11 +20,12 @@ TraceSet TraceSet::generate(const WorkloadModel& model, std::size_t num_vms,
   set.averages_.reserve(num_vms);
   set.ram_mb_.reserve(num_vms);
   set.series_.reserve(num_vms);
+  const std::vector<double> diurnal = model.diurnal_factors(num_steps);
   for (std::size_t v = 0; v < num_vms; ++v) {
-    const double avg = model.sample_average_percent(rng);
-    set.averages_.push_back(avg);
-    set.ram_mb_.push_back(model.sample_ram_mb(rng));
-    set.series_.push_back(model.generate_series(rng, avg, num_steps));
+    TraceRow row = model.draw_row(rng, num_steps);
+    set.averages_.push_back(row.average_percent);
+    set.ram_mb_.push_back(row.ram_mb);
+    set.series_.push_back(model.generate_series(row, diurnal));
   }
   return set;
 }

@@ -55,24 +55,52 @@ double WorkloadModel::expected_average_percent() {
   return acc / total;
 }
 
+TraceRow WorkloadModel::draw_row(util::Rng& rng, std::size_t num_steps) const {
+  const double avg = sample_average_percent(rng);
+  const double ram = sample_ram_mb(rng);
+  TraceRow row{avg, ram, 0.0, rng};
+  row.deviation = row.cursor.normal(0.0, deviation_sigma(avg));
+  rng.discard_normals(num_steps + 1);
+  return row;
+}
+
+std::vector<double> WorkloadModel::diurnal_factors(std::size_t num_steps,
+                                                   sim::SimTime start_time) const {
+  std::vector<double> factors;
+  factors.reserve(num_steps);
+  for (std::size_t k = 0; k < num_steps; ++k) {
+    factors.push_back(config_.diurnal.value(
+        start_time + static_cast<double>(k) * config_.sample_period_s));
+  }
+  return factors;
+}
+
 std::vector<float> WorkloadModel::generate_series(util::Rng& rng, double avg_percent,
                                                   std::size_t num_steps,
                                                   sim::SimTime start_time) const {
   util::require(avg_percent >= 0.0 && avg_percent <= 100.0,
                 "WorkloadModel::generate_series: avg must be in [0,100]");
-  std::vector<float> series;
-  series.reserve(num_steps);
-
-  const double sigma = config_.dev_base + config_.dev_slope * avg_percent;
-  const double rho = config_.ar1_rho;
-  const double innovation_scale = sigma * std::sqrt(1.0 - rho * rho);
-
   // Start the AR(1) from its stationary distribution so the series has no
   // warm-up transient.
-  double dev = rng.normal(0.0, sigma);
-  for (std::size_t k = 0; k < num_steps; ++k) {
-    const sim::SimTime t = start_time + static_cast<double>(k) * config_.sample_period_s;
-    const double base = avg_percent * config_.diurnal.value(t);
+  const double dev = rng.normal(0.0, deviation_sigma(avg_percent));
+  return series_from(rng, avg_percent, dev, diurnal_factors(num_steps, start_time));
+}
+
+std::vector<float> WorkloadModel::generate_series(
+    TraceRow& row, const std::vector<double>& diurnal) const {
+  return series_from(row.cursor, row.average_percent, row.deviation, diurnal);
+}
+
+std::vector<float> WorkloadModel::series_from(util::Rng& rng, double avg_percent,
+                                              double dev,
+                                              const std::vector<double>& diurnal) const {
+  std::vector<float> series;
+  series.reserve(diurnal.size());
+  const double rho = config_.ar1_rho;
+  const double innovation_scale =
+      deviation_sigma(avg_percent) * std::sqrt(1.0 - rho * rho);
+  for (const double g : diurnal) {
+    const double base = avg_percent * g;
     const double value = std::clamp(base + dev, 0.0, 100.0);
     series.push_back(static_cast<float>(value));
     dev = rho * dev + rng.normal(0.0, innovation_scale);

@@ -61,6 +61,12 @@ class Rng {
   /// Normal variate with the given mean and standard deviation (>= 0).
   double normal(double mean, double stddev);
 
+  /// Advance the stream exactly as \p n calls of normal() would, leaving
+  /// the identical State (cached half included). Whole Box-Muller pairs
+  /// are skipped as raw outputs; only the final pair is computed, so the
+  /// cost is O(n) raw steps plus O(1) transcendental calls.
+  void discard_normals(std::uint64_t n);
+
   /// Sample an index from unnormalized non-negative weights.
   /// Throws std::invalid_argument if weights are empty or all zero.
   std::size_t discrete(const std::vector<double>& weights);

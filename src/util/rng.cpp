@@ -122,6 +122,23 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
+void Rng::discard_normals(std::uint64_t n) {
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    --n;
+  }
+  // Whole pairs as raw outputs, keeping normal()'s u1 == 0 rejection
+  // (uniform() is 0 exactly when the top 53 bits are). The last one or two
+  // draws go through normal() so cached_normal_ ends bit-exact as well: the
+  // State carries it even when has_cached_normal_ is false.
+  for (; n > 2; n -= 2) {
+    while (((*this)() >> 11) == 0) {
+    }
+    (void)(*this)();
+  }
+  for (; n > 0; --n) (void)normal();
+}
+
 std::size_t Rng::discrete(const std::vector<double>& weights) {
   require(!weights.empty(), "Rng::discrete: weights must be non-empty");
   double total = 0.0;

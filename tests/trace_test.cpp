@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "ecocloud/stats/histogram.hpp"
 #include "ecocloud/stats/welford.hpp"
@@ -344,40 +347,77 @@ TEST(RateEstimator, Validation) {
 
 // -------------------------------------------------------- streaming traces
 
+namespace {
+
+// Full generator state, bitwise: one raw draw after generation would miss
+// a wrong cached Box-Muller half.
+void expect_same_state(const Rng& a, const Rng& b) {
+  const Rng::State sa = a.state();
+  const Rng::State sb = b.state();
+  EXPECT_EQ(sa.s, sb.s);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sa.cached_normal),
+            std::bit_cast<std::uint64_t>(sb.cached_normal));
+  EXPECT_EQ(sa.has_cached_normal, sb.has_cached_normal);
+}
+
+}  // namespace
+
 TEST(StreamingTraces, BitIdenticalToMaterializedGeneration) {
   trace::WorkloadConfig config;
   trace::WorkloadModel model(config);
   constexpr std::size_t kVms = 40;
-  constexpr std::size_t kSteps = 120;
 
-  Rng rng_a(12345);
-  Rng rng_b(12345);
-  const trace::TraceSet set = trace::TraceSet::generate(model, kVms, kSteps, rng_a);
-  trace::StreamingTraces bank =
-      trace::StreamingTraces::generate(model, kVms, kSteps, rng_b);
-
-  ASSERT_EQ(bank.num_vms(), set.num_vms());
-  ASSERT_EQ(bank.num_steps(), set.num_steps());
-  EXPECT_DOUBLE_EQ(bank.sample_period_s(), set.sample_period_s());
-  EXPECT_DOUBLE_EQ(bank.reference_mhz(), set.reference_mhz());
-  for (std::size_t v = 0; v < kVms; ++v) {
-    // Exact equality, not NEAR: the draws and arithmetic must be identical.
-    ASSERT_EQ(bank.average_percent(v), set.average_percent(v)) << "vm " << v;
-    ASSERT_EQ(bank.ram_mb(v), set.ram_mb(v)) << "vm " << v;
-  }
-  for (std::size_t k = 0; k < kSteps; ++k) {
-    bank.advance_to(k);
-    ASSERT_EQ(bank.current_step(), k);
+  // A row's series block is 1 + steps normals, so an even and an odd step
+  // count leave the shared stream with and without a cached half per row.
+  for (const std::size_t steps : {std::size_t{119}, std::size_t{120}}) {
+    SCOPED_TRACE(testing::Message() << "steps = " << steps);
+    // Reference: every draw made on the shared stream itself, one normal()
+    // at a time, as generation worked before rows were fast-forwarded.
+    Rng rng_ref(12345);
+    std::vector<double> expected_avg;
+    std::vector<double> expected_ram;
+    std::vector<std::vector<float>> expected;
     for (std::size_t v = 0; v < kVms; ++v) {
-      ASSERT_EQ(bank.percent_current(v), set.percent_at(v, k))
-          << "vm " << v << " step " << k;
-      ASSERT_EQ(bank.demand_mhz_current(v), set.demand_mhz_at(v, k))
-          << "vm " << v << " step " << k;
+      expected_avg.push_back(model.sample_average_percent(rng_ref));
+      expected_ram.push_back(model.sample_ram_mb(rng_ref));
+      expected.push_back(model.generate_series(rng_ref, expected_avg[v], steps));
     }
+
+    Rng rng_a(12345);
+    Rng rng_b(12345);
+    const trace::TraceSet set = trace::TraceSet::generate(model, kVms, steps, rng_a);
+    trace::StreamingTraces bank =
+        trace::StreamingTraces::generate(model, kVms, steps, rng_b);
+
+    ASSERT_EQ(bank.num_vms(), set.num_vms());
+    ASSERT_EQ(bank.num_steps(), set.num_steps());
+    EXPECT_DOUBLE_EQ(bank.sample_period_s(), set.sample_period_s());
+    EXPECT_DOUBLE_EQ(bank.reference_mhz(), set.reference_mhz());
+    for (std::size_t v = 0; v < kVms; ++v) {
+      // Exact equality, not NEAR: the draws and arithmetic must be identical.
+      ASSERT_EQ(bank.average_percent(v), set.average_percent(v)) << "vm " << v;
+      ASSERT_EQ(bank.ram_mb(v), set.ram_mb(v)) << "vm " << v;
+      ASSERT_EQ(set.average_percent(v), expected_avg[v]) << "vm " << v;
+      ASSERT_EQ(set.ram_mb(v), expected_ram[v]) << "vm " << v;
+    }
+    for (std::size_t k = 0; k < steps; ++k) {
+      bank.advance_to(k);
+      ASSERT_EQ(bank.current_step(), k);
+      for (std::size_t v = 0; v < kVms; ++v) {
+        ASSERT_EQ(set.percent_at(v, k), static_cast<double>(expected[v][k]))
+            << "vm " << v << " step " << k;
+        ASSERT_EQ(bank.percent_current(v), set.percent_at(v, k))
+            << "vm " << v << " step " << k;
+        ASSERT_EQ(bank.demand_mhz_current(v), set.demand_mhz_at(v, k))
+            << "vm " << v << " step " << k;
+      }
+    }
+    // Every generator must leave the shared stream where the reference
+    // does, or the controller/fault draws downstream of trace generation
+    // would diverge.
+    expect_same_state(rng_a, rng_ref);
+    expect_same_state(rng_b, rng_ref);
   }
-  // Both generators must consume the shared stream identically, or the
-  // controller/fault draws downstream of trace generation would diverge.
-  EXPECT_EQ(rng_a(), rng_b());
 }
 
 TEST(StreamingTraces, AdvancePastGapMatchesMaterialized) {
@@ -422,37 +462,41 @@ TEST(StreamingTraces, PartitionedBanksMatchMonolithicGeneration) {
   trace::WorkloadModel model(config);
   constexpr std::size_t kVms = 41;  // not divisible by K: uneven banks
   constexpr std::size_t kSteps = 60;
-  constexpr std::size_t kBanks = 4;
 
-  Rng rng_a(4242);
-  Rng rng_b(4242);
-  trace::StreamingTraces whole =
-      trace::StreamingTraces::generate(model, kVms, kSteps, rng_a);
-  std::vector<trace::StreamingTraces> banks =
-      trace::StreamingTraces::generate_partitioned(model, kVms, kSteps, rng_b,
-                                                   kBanks);
-  ASSERT_EQ(banks.size(), kBanks);
-  // Both generators must consume the shared stream identically, or the
-  // controller/fault draws downstream of trace generation would diverge
-  // between a sharded streaming run and every other mode.
-  EXPECT_EQ(rng_a(), rng_b());
+  for (const std::size_t num_banks : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "K = " << num_banks);
+    Rng rng_a(4242);
+    Rng rng_b(4242);
+    trace::StreamingTraces whole =
+        trace::StreamingTraces::generate(model, kVms, kSteps, rng_a);
+    std::vector<trace::StreamingTraces> banks =
+        trace::StreamingTraces::generate_partitioned(model, kVms, kSteps, rng_b,
+                                                     num_banks);
+    ASSERT_EQ(banks.size(), num_banks);
+    // Both generators must consume the shared stream identically, or the
+    // controller/fault draws downstream of trace generation would diverge
+    // between a sharded streaming run and every other mode.
+    expect_same_state(rng_a, rng_b);
 
-  for (std::size_t v = 0; v < kVms; ++v) {
-    trace::StreamingTraces& bank = banks[v % kBanks];
-    // num_vms() stays GLOBAL (the TraceDriver validates global indices);
-    // residency is per bank, following ShardPlan::shard_of_trace's rule.
-    ASSERT_EQ(bank.num_vms(), kVms);
-    ASSERT_TRUE(bank.has_row(v));
-    EXPECT_FALSE(banks[(v + 1) % kBanks].has_row(v));
-    ASSERT_EQ(bank.average_percent(v), whole.average_percent(v)) << "vm " << v;
-    ASSERT_EQ(bank.ram_mb(v), whole.ram_mb(v)) << "vm " << v;
-  }
-  for (const std::size_t step : {std::size_t{1}, std::size_t{17}, kSteps - 1}) {
-    whole.advance_to(step);
-    for (auto& bank : banks) bank.advance_to(step);
     for (std::size_t v = 0; v < kVms; ++v) {
-      ASSERT_EQ(banks[v % kBanks].percent_current(v), whole.percent_current(v))
-          << "vm " << v << " step " << step;
+      trace::StreamingTraces& bank = banks[v % num_banks];
+      // num_vms() stays GLOBAL (the TraceDriver validates global indices);
+      // residency is per bank, following ShardPlan::shard_of_trace's rule.
+      ASSERT_EQ(bank.num_vms(), kVms);
+      ASSERT_TRUE(bank.has_row(v));
+      if (num_banks > 1) {
+        EXPECT_FALSE(banks[(v + 1) % num_banks].has_row(v));
+      }
+      ASSERT_EQ(bank.average_percent(v), whole.average_percent(v)) << "vm " << v;
+      ASSERT_EQ(bank.ram_mb(v), whole.ram_mb(v)) << "vm " << v;
+    }
+    for (const std::size_t step : {std::size_t{1}, std::size_t{17}, kSteps - 1}) {
+      whole.advance_to(step);
+      for (auto& bank : banks) bank.advance_to(step);
+      for (std::size_t v = 0; v < kVms; ++v) {
+        ASSERT_EQ(banks[v % num_banks].percent_current(v), whole.percent_current(v))
+            << "vm " << v << " step " << step;
+      }
     }
   }
 }

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -184,6 +186,62 @@ TEST(Rng, IndexWithinBounds) {
     EXPECT_LT(rng.index(7), 7u);
   }
   EXPECT_THROW(rng.index(0), std::invalid_argument);
+}
+
+namespace {
+
+// Bitwise, cached half included: the snapshot writer serializes
+// cached_normal even when has_cached_normal is false.
+void expect_same_state(const util::Rng& a, const util::Rng& b) {
+  const util::Rng::State sa = a.state();
+  const util::Rng::State sb = b.state();
+  EXPECT_EQ(sa.s, sb.s);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sa.cached_normal),
+            std::bit_cast<std::uint64_t>(sb.cached_normal));
+  EXPECT_EQ(sa.has_cached_normal, sb.has_cached_normal);
+}
+
+}  // namespace
+
+TEST(Rng, DiscardNormalsLeavesTheStateOfNormalCalls) {
+  std::vector<std::uint64_t> counts = {578, 579};
+  for (std::uint64_t n = 0; n <= 9; ++n) counts.push_back(n);
+  for (const bool cached : {false, true}) {
+    for (const std::uint64_t n : counts) {
+      SCOPED_TRACE(testing::Message() << "n = " << n << ", cached " << cached);
+      util::Rng drawn(20130520);
+      if (cached) (void)drawn.normal();  // leaves the pair's second half
+      util::Rng skipped = drawn;
+      for (std::uint64_t i = 0; i < n; ++i) (void)drawn.normal();
+      skipped.discard_normals(n);
+      expect_same_state(skipped, drawn);
+    }
+  }
+}
+
+TEST(Rng, DiscardNormalsKeepsTheZeroUniformRejection) {
+  // s[1] == 0 makes the next raw output exactly 0: normal() rejects that
+  // u1 and draws again, and the raw-stepped skip must do the same.
+  util::Rng::State crafted;
+  crafted.s = {0x0123456789ABCDEFULL, 0, 0xFEDCBA9876543210ULL,
+               0x0F1E2D3C4B5A6978ULL};
+  crafted.cached_normal = 0.25;
+  util::Rng probe;
+  probe.set_state(crafted);
+  ASSERT_EQ(probe(), 0u);
+  for (const bool cached : {false, true}) {
+    crafted.has_cached_normal = cached;
+    for (std::uint64_t n = 0; n <= 9; ++n) {
+      SCOPED_TRACE(testing::Message() << "n = " << n << ", cached " << cached);
+      util::Rng drawn;
+      util::Rng skipped;
+      drawn.set_state(crafted);
+      skipped.set_state(crafted);
+      for (std::uint64_t i = 0; i < n; ++i) (void)drawn.normal();
+      skipped.discard_normals(n);
+      expect_same_state(skipped, drawn);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------- math
