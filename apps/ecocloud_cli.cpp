@@ -1137,8 +1137,8 @@ int help_config() {
       "             migration_latency_s, boot_time_s, grace_period_s,\n"
       "             hibernate_delay_s, require_fit, enable_migrations,\n"
       "             invite_group_size, fast_sampler\n"
-      "  memory:    streaming_traces (O(VMs) trace cursors, bit-identical\n"
-      "             stream; DESIGN.md Sec. 14)\n"
+      "  no effect: streaming_traces (accepted; every run streams its\n"
+      "             traces, DESIGN.md Sec. 14)\n"
       "  faults:    under a [faults] section (or faults.-prefixed):\n"
       "             server_mtbf_s, server_mttr_s, migration_abort_prob,\n"
       "             boot_failure_prob, max_boot_retries,\n"

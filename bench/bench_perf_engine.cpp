@@ -15,11 +15,11 @@
 //   scaleup16k — 40x the paper: 16,000 servers / 240,000 VMs / 48 h, run
 //                both single-threaded and sharded.
 //   planet100k — 100,000 servers / 1.5M VMs on a short horizon, run single
-//                and sharded, both on streaming traces; both rows use the
-//                O(1) sampler with invite_group_size = 64.
-//   planet1m   — 1,000,000 servers / 15M VMs, streaming traces, single
-//                only (one row is enough to track the per-event hot path;
-//                the sharded engine streams too — see planet100k).
+//                and sharded; both rows use the O(1) sampler with
+//                invite_group_size = 64.
+//   planet1m   — 1,000,000 servers / 15M VMs, single only (one row is
+//                enough to track the per-event hot path).
+// Every row streams its traces (O(VMs) cursor banks, DESIGN.md §14).
 //   ci         — reduced smoke: 100 servers / 1,500 VMs / 6 h (CI runners).
 //
 // Output: one JSON object per run (events, set-up seconds — the scenario
@@ -228,17 +228,12 @@ EngineRun run_scenario(const char* name, std::size_t servers, std::size_t vms,
 // to the whole active fleet, which is O(servers) per deploy and would turn
 // these rows into a measurement of that known quadratic — so the planet
 // rows run the O(1) sampler with a bounded invite group (DESIGN.md §14).
-// Streaming traces replace the materialized VMs x steps matrix with an
-// O(VMs) cursor bank; in sharded mode each shard owns the bank of its own
-// rows (DESIGN.md §17), so both planet rows stream.
 scenario::DailyConfig planet_daily_config(std::size_t servers, std::size_t vms,
-                                          double hours, double warmup_hours,
-                                          bool streaming) {
+                                          double hours, double warmup_hours) {
   scenario::DailyConfig config = bench::scaled_daily_config(
       servers, vms, hours, warmup_hours * sim::kHour);
   config.params.fast_sampler = true;
   config.params.invite_group_size = 64;
-  config.streaming_traces = streaming;
   return config;
 }
 
@@ -469,20 +464,18 @@ int main(int argc, char** argv) {
     // 100,000 servers / 1.5M VMs, 3 reported hours after a 1 h warm-up.
     runs.push_back(run_scenario_config(
         "planet_100k",
-        planet_daily_config(100'000, 1'500'000, 3.0, 1.0, /*streaming=*/true),
+        planet_daily_config(100'000, 1'500'000, 3.0, 1.0),
         3.0));
     runs.push_back(run_sharded_scenario_config(
         "planet_100k",
-        planet_daily_config(100'000, 1'500'000, 3.0, 1.0, /*streaming=*/true),
+        planet_daily_config(100'000, 1'500'000, 3.0, 1.0),
         3.0, shards, thread_counts.back()));
   }
   if (which == "planet1m" || which == "all") {
-    // 1,000,000 servers / 15M VMs, streaming only: a materialized trace
-    // matrix at this scale is tens of GB, the cursor bank ~1.1 GB.
+    // 1,000,000 servers / 15M VMs, single only: the cursor bank is
+    // ~1.1 GB where a trace matrix would be tens of GB.
     runs.push_back(run_scenario_config(
-        "planet_1m",
-        planet_daily_config(1'000'000, 15'000'000, 0.5, 0.0,
-                            /*streaming=*/true),
+        "planet_1m", planet_daily_config(1'000'000, 15'000'000, 0.5, 0.0),
         0.5));
   }
   if (which == "ci") {

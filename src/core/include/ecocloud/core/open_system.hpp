@@ -26,13 +26,15 @@ class OpenSystemDriver {
   /// kEvDeparture carries the departing VM id in `a`.
   enum EventKind : std::uint16_t { kEvArrival = 1, kEvDeparture = 2 };
 
+  /// Arriving VMs draw their trace row uniformly from \p trace_driver's
+  /// rows.
   /// \param lambda      arrival rate function (VMs/second).
   /// \param lambda_max  finite bound on lambda (thinning envelope).
   /// \param nu          per-VM departure rate (1/second, > 0).
   OpenSystemDriver(sim::Simulator& simulator, dc::DataCenter& datacenter,
                    EcoCloudController& controller, TraceDriver& trace_driver,
-                   const trace::TraceSet& traces, util::Rng rng,
-                   trace::RateFn lambda, double lambda_max, double nu);
+                   util::Rng rng, trace::RateFn lambda, double lambda_max,
+                   double nu);
 
   /// Optionally log events for later rate estimation.
   void set_rate_estimator(trace::RateEstimator* estimator) { estimator_ = estimator; }
@@ -68,7 +70,6 @@ class OpenSystemDriver {
   dc::DataCenter& dc_;
   EcoCloudController& controller_;
   TraceDriver& trace_driver_;
-  const trace::TraceSet& traces_;
   util::Rng rng_;
   trace::PoissonArrivals arrivals_;
   double nu_;

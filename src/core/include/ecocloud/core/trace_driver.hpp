@@ -7,11 +7,11 @@
 /// Each mapped VM's demand is refreshed from its trace series at every
 /// 5-minute tick (the CoMon sampling period), exactly as the paper's
 /// trace-driven simulations do. The driver reads from one of two sources:
-/// a materialized trace::TraceSet (the full sample matrix, O(VMs x
-/// horizon) memory) or a trace::StreamingTraces cursor bank (O(VMs)
-/// memory, samples produced lazily as the clock advances — DESIGN.md §14).
-/// Both sources yield bit-identical demands, so the event stream does not
-/// depend on which one backs the driver.
+/// a trace::StreamingTraces cursor bank, which every synthetic run uses
+/// (O(VMs) memory, samples produced lazily as the clock advances —
+/// DESIGN.md §14), or a trace::TraceSet loaded from files (the full sample
+/// matrix, replayed with wrap-around past its end). The driver is the only
+/// place that tells the two apart: callers ask it for row counts and RAM.
 
 #include <unordered_map>
 
@@ -28,14 +28,21 @@ class TraceDriver {
   /// Snapshot-stable event kinds (tag_owner::kTraceDriver). Append only.
   enum EventKind : std::uint16_t { kEvTick = 1 };
 
+  /// Driver over loaded traces, which must outlive it.
   TraceDriver(sim::Simulator& simulator, dc::DataCenter& datacenter,
               const trace::TraceSet& traces);
 
-  /// Streaming-source driver. The cursor bank is advanced on demand
+  /// Driver over a synthetic stream. The cursor bank is advanced on demand
   /// (monotonically) as ticks and VM arrivals query it; it must outlive
-  /// the driver, like the TraceSet in the materialized overload.
+  /// the driver.
   TraceDriver(sim::Simulator& simulator, dc::DataCenter& datacenter,
               trace::StreamingTraces& streaming);
+
+  /// Trace rows the driver can map (global indices for a sharded bank).
+  [[nodiscard]] std::size_t num_rows() const;
+
+  /// RAM footprint (MB) of trace row \p trace_index.
+  [[nodiscard]] double ram_mb(std::size_t trace_index) const;
 
   /// Bind DataCenter VM \p vm to trace row \p trace_index and set its
   /// demand to the current sample.
@@ -72,11 +79,10 @@ class TraceDriver {
 
  private:
   void tick();
-  [[nodiscard]] std::size_t source_num_vms() const;
   [[nodiscard]] sim::SimTime source_sample_period_s() const;
-  /// Move streaming cursors to the step active at \p now. No-op for a
-  /// materialized source or when already there (ticks and same-tick VM
-  /// arrivals land on the same step regardless of event order).
+  /// Move streaming cursors to the step active at \p now. No-op for
+  /// loaded traces or when already there (ticks and same-tick VM arrivals
+  /// land on the same step regardless of event order).
   void sync_streaming(sim::SimTime now) const;
 
   sim::Simulator& sim_;

@@ -12,14 +12,12 @@ namespace ecocloud::core {
 OpenSystemDriver::OpenSystemDriver(sim::Simulator& simulator,
                                    dc::DataCenter& datacenter,
                                    EcoCloudController& controller,
-                                   TraceDriver& trace_driver,
-                                   const trace::TraceSet& traces, util::Rng rng,
+                                   TraceDriver& trace_driver, util::Rng rng,
                                    trace::RateFn lambda, double lambda_max, double nu)
     : sim_(simulator),
       dc_(datacenter),
       controller_(controller),
       trace_driver_(trace_driver),
-      traces_(traces),
       rng_(rng),
       arrivals_(std::move(lambda), lambda_max),
       nu_(nu) {
@@ -27,8 +25,8 @@ OpenSystemDriver::OpenSystemDriver(sim::Simulator& simulator,
 }
 
 dc::VmId OpenSystemDriver::spawn_vm() {
-  const std::size_t trace_index = rng_.index(traces_.num_vms());
-  const dc::VmId vm = dc_.create_vm(0.0, traces_.ram_mb(trace_index));
+  const std::size_t trace_index = rng_.index(trace_driver_.num_rows());
+  const dc::VmId vm = dc_.create_vm(0.0, trace_driver_.ram_mb(trace_index));
   trace_driver_.map_vm(trace_index, vm);
   return vm;
 }

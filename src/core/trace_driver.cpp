@@ -18,8 +18,13 @@ TraceDriver::TraceDriver(sim::Simulator& simulator, dc::DataCenter& datacenter,
                          trace::StreamingTraces& streaming)
     : sim_(simulator), dc_(datacenter), streaming_(&streaming) {}
 
-std::size_t TraceDriver::source_num_vms() const {
+std::size_t TraceDriver::num_rows() const {
   return traces_ != nullptr ? traces_->num_vms() : streaming_->num_vms();
+}
+
+double TraceDriver::ram_mb(std::size_t trace_index) const {
+  return traces_ != nullptr ? traces_->ram_mb(trace_index)
+                            : streaming_->ram_mb(trace_index);
 }
 
 sim::SimTime TraceDriver::source_sample_period_s() const {
@@ -32,7 +37,7 @@ void TraceDriver::sync_streaming(sim::SimTime now) const {
 }
 
 void TraceDriver::map_vm(std::size_t trace_index, dc::VmId vm) {
-  util::require(trace_index < source_num_vms(),
+  util::require(trace_index < num_rows(),
                 "TraceDriver::map_vm: bad trace index");
   vm_to_trace_[vm] = trace_index;
   dc_.set_vm_demand(sim_.now(), vm, current_demand_mhz(trace_index));
@@ -71,7 +76,7 @@ void TraceDriver::load_state(util::BinReader& r) {
   util::load_unordered(r, vm_to_trace_, [this](util::BinReader& in) {
     const auto vm = static_cast<dc::VmId>(in.u64());
     const auto trace_index = static_cast<std::size_t>(in.u64());
-    util::require(trace_index < source_num_vms(),
+    util::require(trace_index < num_rows(),
                   "TraceDriver: snapshot trace index out of range");
     return std::make_pair(vm, trace_index);
   });

@@ -7,12 +7,9 @@
 /// A shard owns everything the single-threaded engine owns — slab event
 /// calendar (sim::Simulator), datacenter subset, trace driver, ecoCloud
 /// controller with its own RNG streams, metrics collector, event-log
-/// segment — and its workload source is one of two (DESIGN.md §14/§17):
-///  * materialized: all shards share one immutable TraceSet (read-only,
-///    so thread-safe);
-///  * streaming: each shard OWNS the trace::StreamingTraces cursor bank
-///    of its trace rows (ShardPlan::shard_of_trace partitioning) and
-///    advances it privately — O(VMs/K) memory per shard, no sharing.
+/// segment — plus the trace::StreamingTraces cursor bank of its trace rows
+/// (ShardPlan::shard_of_trace partitioning, DESIGN.md §17), which it
+/// advances privately: O(VMs/K) memory per shard, nothing shared.
 /// Between epoch barriers a shard never touches another shard's state;
 /// everything cross-shard goes through the coordinator (sharded_runner),
 /// which runs serially — including adopt_trace_row, which copies a
@@ -37,7 +34,6 @@
 #include "ecocloud/scenario/scenario.hpp"
 #include "ecocloud/sim/simulator.hpp"
 #include "ecocloud/trace/streaming_traces.hpp"
-#include "ecocloud/trace/trace_set.hpp"
 #include "ecocloud/util/binio.hpp"
 
 namespace ecocloud::ckpt {
@@ -57,15 +53,9 @@ struct MigrationWish {
 
 class Shard {
  public:
-  /// Materialized-mode shard: drives its VMs from the shared read-only
-  /// \p traces, which must outlive the shard.
-  Shard(const scenario::DailyConfig& config, const ShardPlan& plan,
-        std::size_t shard_id, const trace::TraceSet& traces);
-
-  /// Streaming-mode shard: takes ownership of \p bank, this shard's slice
-  /// of a StreamingTraces::generate_partitioned run (bank k for shard k —
-  /// the partition rule and ShardPlan::shard_of_trace agree by
-  /// construction).
+  /// Takes ownership of \p bank, this shard's slice of a
+  /// StreamingTraces::generate_partitioned run (bank k for shard k — the
+  /// partition rule and ShardPlan::shard_of_trace agree by construction).
   Shard(const scenario::DailyConfig& config, const ShardPlan& plan,
         std::size_t shard_id, trace::StreamingTraces bank);
 
@@ -134,10 +124,10 @@ class Shard {
   /// normal departure path (which also re-evaluates hibernation).
   void release_vm(dc::VmId vm);
 
-  /// Streaming mode only: copy global trace row \p trace_index from
-  /// \p home's bank into this shard's bank so deploy/accept_transfer can
-  /// drive it here. No-op when already resident; serial coordinator code
-  /// only, at a barrier (both banks at the same step).
+  /// Copy global trace row \p trace_index from \p home's bank into this
+  /// shard's bank so deploy/accept_transfer can drive it here. No-op when
+  /// already resident; serial coordinator code only, at a barrier (both
+  /// banks at the same step).
   void adopt_trace_row(std::size_t trace_index, const Shard& home);
 
   /// Drain the wishes recorded since the previous barrier.
@@ -170,24 +160,11 @@ class Shard {
   [[nodiscard]] const faults::FaultInjector* fault_injector() const {
     return injector_.get();
   }
-  /// The owned cursor bank of a streaming-mode shard; null when the shard
-  /// reads from a shared materialized TraceSet.
-  [[nodiscard]] const trace::StreamingTraces* streaming_bank() const {
-    return streaming_.get();
-  }
 
  private:
-  /// Shared construction once the trace source is set: fleet, driver,
-  /// controller, collector, faults — mirroring DailyScenario exactly.
-  void init(const scenario::DailyConfig& config);
-  /// RAM footprint of a global trace row, whichever source backs us.
-  [[nodiscard]] double trace_ram_mb(std::size_t trace_index) const;
-
   const ShardPlan& plan_;
   std::size_t id_;
-  /// Exactly one of the two sources is set.
-  const trace::TraceSet* traces_ = nullptr;
-  std::unique_ptr<trace::StreamingTraces> streaming_;
+  trace::StreamingTraces bank_;
 
   sim::Simulator sim_;
   std::unique_ptr<dc::DataCenter> dc_;

@@ -33,7 +33,6 @@
 #include "ecocloud/par/partition.hpp"
 #include "ecocloud/par/shard.hpp"
 #include "ecocloud/scenario/scenario.hpp"
-#include "ecocloud/trace/trace_set.hpp"
 #include "ecocloud/util/phase_profiler.hpp"
 #include "ecocloud/util/thread_pool.hpp"
 
@@ -191,10 +190,6 @@ class ShardedDailyRun {
   scenario::DailyConfig config_;
   ParConfig par_;
   ShardPlan plan_;
-  /// Materialized mode only: the one TraceSet all shards share read-only.
-  /// In streaming mode (config.streaming_traces) this stays null — each
-  /// shard owns the cursor bank of its rows instead (Shard::streaming_bank).
-  std::unique_ptr<trace::TraceSet> traces_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<util::ThreadPool> pool_;
 

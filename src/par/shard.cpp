@@ -42,21 +42,8 @@ faults::FaultParams localize_faults(const faults::FaultParams& global,
 }  // namespace
 
 Shard::Shard(const scenario::DailyConfig& config, const ShardPlan& plan,
-             std::size_t shard_id, const trace::TraceSet& traces)
-    : plan_(plan), id_(shard_id), traces_(&traces) {
-  init(config);
-}
-
-Shard::Shard(const scenario::DailyConfig& config, const ShardPlan& plan,
              std::size_t shard_id, trace::StreamingTraces bank)
-    : plan_(plan),
-      id_(shard_id),
-      streaming_(
-          std::make_unique<trace::StreamingTraces>(std::move(bank))) {
-  init(config);
-}
-
-void Shard::init(const scenario::DailyConfig& config) {
+    : plan_(plan), id_(shard_id), bank_(std::move(bank)) {
   // Mirror DailyScenario's construction exactly (scenario.cpp): fleet,
   // trace driver, controller from Rng(seed).split(1), collector, log. Any
   // divergence here breaks the K=1 bit-identity pin.
@@ -74,11 +61,7 @@ void Shard::init(const scenario::DailyConfig& config) {
                     fleet.ram_per_core_mb * static_cast<double>(cores));
   }
 
-  if (streaming_) {
-    trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *streaming_);
-  } else {
-    trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *traces_);
-  }
+  trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, bank_);
 
   util::Rng rng(shard_seed(config.seed, id_));
   eco_ = std::make_unique<core::EcoCloudController>(sim_, *dc_, config.params,
@@ -112,19 +95,12 @@ void Shard::init(const scenario::DailyConfig& config) {
   };
 }
 
-double Shard::trace_ram_mb(std::size_t trace_index) const {
-  return streaming_ ? streaming_->ram_mb(trace_index)
-                    : traces_->ram_mb(trace_index);
-}
-
 void Shard::adopt_trace_row(std::size_t trace_index, const Shard& home) {
-  util::require(streaming_ != nullptr && home.streaming_ != nullptr,
-                "Shard::adopt_trace_row: both shards must be streaming-mode");
-  streaming_->adopt_row(trace_index, *home.streaming_);
+  bank_.adopt_row(trace_index, home.bank_);
 }
 
 bool Shard::deploy(std::size_t trace_index) {
-  const dc::VmId vm = dc_->create_vm(0.0, trace_ram_mb(trace_index));
+  const dc::VmId vm = dc_->create_vm(0.0, trace_driver_->ram_mb(trace_index));
   vm_trace_.push_back(trace_index);
   trace_driver_->map_vm(trace_index, vm);
   last_deployed_ = vm;
@@ -254,7 +230,7 @@ std::optional<dc::ServerId> Shard::invite(sim::SimTime now, double demand_mhz,
 
 dc::VmId Shard::accept_transfer(sim::SimTime t, std::size_t trace_index,
                                 dc::ServerId dest) {
-  const dc::VmId vm = dc_->create_vm(0.0, trace_ram_mb(trace_index));
+  const dc::VmId vm = dc_->create_vm(0.0, trace_driver_->ram_mb(trace_index));
   vm_trace_.push_back(trace_index);
   trace_driver_->map_vm(trace_index, vm);  // sets the live trace demand
   dc_->place_vm(t, vm, dest);

@@ -33,42 +33,21 @@ ShardedDailyRun::ShardedDailyRun(scenario::DailyConfig config, ParConfig par)
                 "mode (invitations would need cross-shard rack scoping)");
   warmup_done_ = config_.warmup_s <= 0.0;
 
-  // The trace source is generated once from the bare seed — exactly as
+  // The traces are generated once from the bare seed — exactly as
   // DailyScenario does — so the workload is a function of the config
-  // alone, not of K. Materialized mode shares one read-only TraceSet
-  // across the shards; streaming mode (DESIGN.md §17) hands each shard
-  // the owned cursor bank of its trace rows, generated from the same
-  // stream, so the demand samples are bit-identical either way.
-  //
-  // streaming_traces is honored, never silently downgraded: every option
-  // the sharded engine supports composes with the cursor banks (snapshots
-  // regenerate and re-adopt them, audits read only the VM->row map,
-  // faults never sample demand). The one config that cannot shard at all
-  // — rack topology — is rejected above; any future option that requires
-  // the materialized sample matrix must fail fast here, in the CLI's
-  // util::require style, rather than fall back to O(VMs x horizon)
-  // memory behind the operator's back.
+  // alone, not of K. Each shard owns the cursor bank of its trace rows
+  // (DESIGN.md §17); the banks come from one pass over the same stream,
+  // so the demand samples are bit-identical to a single bank's.
   util::Rng rng(config_.seed);
-  const auto num_steps =
-      static_cast<std::size_t>(config_.horizon_s /
-                               config_.workload.sample_period_s) +
-      2;
-  trace::WorkloadModel model(config_.workload);
+  std::vector<trace::StreamingTraces> banks =
+      trace::StreamingTraces::generate_partitioned(
+          trace::WorkloadModel(config_.workload), config_.num_vms,
+          scenario::trace_steps(config_.horizon_s, config_.workload), rng,
+          par_.shards);
   shards_.reserve(par_.shards);
-  if (config_.streaming_traces) {
-    std::vector<trace::StreamingTraces> banks =
-        trace::StreamingTraces::generate_partitioned(
-            model, config_.num_vms, num_steps, rng, par_.shards);
-    for (std::size_t k = 0; k < par_.shards; ++k) {
-      shards_.push_back(
-          std::make_unique<Shard>(config_, plan_, k, std::move(banks[k])));
-    }
-  } else {
-    traces_ = std::make_unique<trace::TraceSet>(
-        trace::TraceSet::generate(model, config_.num_vms, num_steps, rng));
-    for (std::size_t k = 0; k < par_.shards; ++k) {
-      shards_.push_back(std::make_unique<Shard>(config_, plan_, k, *traces_));
-    }
+  for (std::size_t k = 0; k < par_.shards; ++k) {
+    shards_.push_back(
+        std::make_unique<Shard>(config_, plan_, k, std::move(banks[k])));
   }
   pool_ = std::make_unique<util::ThreadPool>(par_.threads);
 }
@@ -208,19 +187,17 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
         " — the resumed run must enable the same subsystems (faults) and "
         "shard count as the run that wrote the snapshot");
   }
-  if (config_.streaming_traces) {
-    // Streaming banks carry no snapshot sections: they were regenerated at
-    // step 0 by the constructor and will fast-forward deterministically on
-    // the first tick. What the fresh banks lack is the rows handed off
-    // across shards before the snapshot — re-adopt every mapped row that
-    // lives away from its owner bank (order-independent: adoption copies
-    // owner-bank state and draws nothing).
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      for (const auto& [vm, row] : shards_[k]->trace_driver().mapped_vms()) {
-        (void)vm;
-        const std::size_t home = plan_.shard_of_trace(row);
-        if (home != k) shards_[k]->adopt_trace_row(row, *shards_[home]);
-      }
+  // Banks carry no snapshot sections: they were regenerated at step 0 by
+  // the constructor and will fast-forward deterministically on the first
+  // tick. What the fresh banks lack is the rows handed off across shards
+  // before the snapshot — re-adopt every mapped row that lives away from
+  // its owner bank (order-independent: adoption copies owner-bank state
+  // and draws nothing).
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    for (const auto& [vm, row] : shards_[k]->trace_driver().mapped_vms()) {
+      (void)vm;
+      const std::size_t home = plan_.shard_of_trace(row);
+      if (home != k) shards_[k]->adopt_trace_row(row, *shards_[home]);
     }
   }
   resume_path_ = path;
@@ -290,12 +267,10 @@ void ShardedDailyRun::run() {
         shards_[owner]->abandon_last_deploy();
         for (std::size_t off = 1; off < K; ++off) {
           Shard& next = *shards_[(owner + off) % K];
-          // Streaming banks hold only the owner's rows: the retry shard
-          // adopts a copy of the cursor (all banks sit at step 0 here)
-          // before it can price and drive the VM.
-          if (config_.streaming_traces) {
-            next.adopt_trace_row(i, *shards_[owner]);
-          }
+          // Banks hold only their owner's rows: the retry shard adopts a
+          // copy of the cursor (all banks sit at step 0 here) before it
+          // can price and drive the VM.
+          next.adopt_trace_row(i, *shards_[owner]);
           if (next.deploy(i)) break;
           next.abandon_last_deploy();
         }
@@ -486,14 +461,12 @@ void ShardedDailyRun::resolve_wish(std::size_t source_shard,
     if (!dest) continue;
 
     const std::size_t row = src.trace_of(pick);
-    if (config_.streaming_traces) {
-      // Copy the row's cursor from its OWNER bank (not necessarily the
-      // source shard: the VM may be on its second hand-off, but the
-      // owner's copy is identical — a row's state is a pure function of
-      // its captured cursor and the step, and every bank sits at this
-      // barrier's step). Draws no RNG, so materialized runs are unchanged.
-      shards_[d]->adopt_trace_row(row, *shards_[plan_.shard_of_trace(row)]);
-    }
+    // Copy the row's cursor from its OWNER bank (not necessarily the
+    // source shard: the VM may be on its second hand-off, but the owner's
+    // copy is identical — a row's state is a pure function of its captured
+    // cursor and the step, and every bank sits at this barrier's step).
+    // Draws no RNG.
+    shards_[d]->adopt_trace_row(row, *shards_[plan_.shard_of_trace(row)]);
     src.release_vm(pick);
     shards_[d]->accept_transfer(now, row, *dest);
 

@@ -1,6 +1,9 @@
 #include "ecocloud/scenario/config_io.hpp"
 
+#include <cmath>
 #include <istream>
+#include <stdexcept>
+#include <string>
 
 #include "ecocloud/faults/fault_model.hpp"
 #include "ecocloud/util/key_value.hpp"
@@ -11,13 +14,37 @@ namespace ecocloud::scenario {
 
 namespace {
 
+/// Throw std::invalid_argument naming \p key, and the line that set it,
+/// unless \p ok.
+void require_key(const util::KeyValueConfig& kv, bool ok,
+                 const std::string& key, const char* what) {
+  if (ok) return;
+  std::string message = "config: '" + key + "' " + what;
+  if (const std::size_t line = kv.line_of(key); line > 0) {
+    message += " (line " + std::to_string(line) + ")";
+  }
+  throw std::invalid_argument(message);
+}
+
 /// Read a non-negative integer key (size_t fields must reject negatives
 /// instead of wrapping through the cast).
 std::size_t get_size(const util::KeyValueConfig& kv, const std::string& key,
                      std::size_t fallback) {
   const long long value = kv.get_int(key, static_cast<long long>(fallback));
-  util::require(value >= 0, "config: '" + key + "' must be >= 0");
+  require_key(kv, value >= 0, key, "must be >= 0");
   return static_cast<std::size_t>(value);
+}
+
+/// The horizon must cut into a representable number of trace samples
+/// (scenario::trace_steps); checked before any trace is generated.
+void check_horizon(const util::KeyValueConfig& kv, sim::SimTime horizon_s,
+                   sim::SimTime sample_period_s) {
+  require_key(kv, std::isfinite(horizon_s) && horizon_s > 0.0,
+              "horizon_hours", "must be finite and > 0");
+  require_key(kv, std::isfinite(sample_period_s) && sample_period_s > 0.0,
+              "sample_period_s", "must be finite and > 0");
+  require_key(kv, horizon_s / sample_period_s <= kMaxTraceSteps,
+              "horizon_hours", "spans more than 2^32 trace samples");
 }
 
 void load_params(const util::KeyValueConfig& kv, core::EcoCloudParams& params) {
@@ -116,8 +143,7 @@ DailyConfig load_daily_config(std::istream& in) {
   const auto kv = util::KeyValueConfig::parse(in);
   DailyConfig config;
 
-  config.fleet.num_servers = static_cast<std::size_t>(
-      kv.get_int("servers", static_cast<long long>(config.fleet.num_servers)));
+  config.fleet.num_servers = get_size(kv, "servers", config.fleet.num_servers);
   config.fleet.core_mhz = kv.get_double("core_mhz", config.fleet.core_mhz);
   config.fleet.ram_per_core_mb =
       kv.get_double("ram_per_core_mb", config.fleet.ram_per_core_mb);
@@ -131,16 +157,15 @@ DailyConfig load_daily_config(std::istream& in) {
     }
   }
 
-  config.num_vms = static_cast<std::size_t>(
-      kv.get_int("vms", static_cast<long long>(config.num_vms)));
+  config.num_vms = get_size(kv, "vms", config.num_vms);
   config.horizon_s =
       kv.get_double("horizon_hours", config.horizon_s / sim::kHour) * sim::kHour;
   config.warmup_s =
       kv.get_double("warmup_hours", config.warmup_s / sim::kHour) * sim::kHour;
   config.seed = static_cast<std::uint64_t>(
       kv.get_int("seed", static_cast<long long>(config.seed)));
-  config.streaming_traces =
-      kv.get_bool("streaming_traces", config.streaming_traces);
+  // Accepted for existing configs; it has no effect (every run streams).
+  config.streaming_traces = kv.get_bool("streaming_traces", false);
 
   const auto racks = kv.get_int("racks", 0);
   if (racks > 0) {
@@ -159,6 +184,7 @@ DailyConfig load_daily_config(std::istream& in) {
 
   load_params(kv, config.params);
   load_workload(kv, config.workload);
+  check_horizon(kv, config.horizon_s, config.workload.sample_period_s);
   load_faults(kv, config.faults);
   load_run_control(kv, config.run);
   kv.require_all_used();
@@ -170,13 +196,11 @@ ConsolidationConfig load_consolidation_config(std::istream& in) {
   const auto kv = util::KeyValueConfig::parse(in);
   ConsolidationConfig config;
 
-  config.num_servers = static_cast<std::size_t>(
-      kv.get_int("servers", static_cast<long long>(config.num_servers)));
+  config.num_servers = get_size(kv, "servers", config.num_servers);
   config.cores_per_server = static_cast<unsigned>(
       kv.get_int("cores_per_server", config.cores_per_server));
   config.core_mhz = kv.get_double("core_mhz", config.core_mhz);
-  config.initial_vms = static_cast<std::size_t>(
-      kv.get_int("initial_vms", static_cast<long long>(config.initial_vms)));
+  config.initial_vms = get_size(kv, "initial_vms", config.initial_vms);
   config.horizon_s =
       kv.get_double("horizon_hours", config.horizon_s / sim::kHour) * sim::kHour;
   config.mean_lifetime_s =
@@ -191,6 +215,7 @@ ConsolidationConfig load_consolidation_config(std::istream& in) {
 
   load_params(kv, config.params);
   load_workload(kv, config.workload);
+  check_horizon(kv, config.horizon_s, config.workload.sample_period_s);
   // Departed VMs stay unowned forever in the open system, so the strict
   // every-VM-owned audit would always fail here.
   config.run.audit_strict = false;

@@ -73,6 +73,17 @@ struct FleetConfig {
 /// Build a hibernated fleet into \p datacenter per the mix.
 void build_fleet(dc::DataCenter& datacenter, const FleetConfig& fleet);
 
+/// Largest horizon / sample period a run accepts (2^32 trace steps); the
+/// config loaders reject longer horizons by key.
+inline constexpr double kMaxTraceSteps = 4294967296.0;
+
+/// Trace samples a run of \p horizon_s generates at \p workload's sample
+/// period: horizon / period + 2, so the step active at the horizon exists.
+/// Throws std::invalid_argument unless horizon / period is in
+/// [0, kMaxTraceSteps] (NaN included).
+[[nodiscard]] std::size_t trace_steps(sim::SimTime horizon_s,
+                                      const trace::WorkloadConfig& workload);
+
 /// Parameters of the 48-hour daily-cycle experiment.
 struct DailyConfig {
   FleetConfig fleet;
@@ -81,12 +92,9 @@ struct DailyConfig {
   core::EcoCloudParams params;  // paper defaults
   trace::WorkloadConfig workload;
   std::uint64_t seed = 20130520;  // arbitrary but fixed
-  /// Back the trace driver with a trace::StreamingTraces cursor bank
-  /// instead of a materialized trace::TraceSet: O(VMs) memory instead of
-  /// O(VMs x horizon), same event stream bit for bit (DESIGN.md §14).
-  /// Deliberately NOT part of the config digest — snapshots are portable
-  /// across trace-memory modes. Ignored (forced off) when traces are
-  /// supplied externally.
+  /// Has no effect: every synthetic run streams its traces (DESIGN.md
+  /// §14). The `streaming_traces` config key still parses into this field
+  /// so existing configs load; both are to be removed.
   bool streaming_traces = false;
   /// Skip accounting during the initial consolidation transient.
   sim::SimTime warmup_s = 0.0;
@@ -174,13 +182,6 @@ class DailyScenario {
   [[nodiscard]] const DailyConfig& config() const { return config_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] dc::DataCenter& datacenter() { return *dc_; }
-  /// The materialized trace set. Throws when the scenario runs in
-  /// streaming mode (config.streaming_traces) — use streaming() there.
-  [[nodiscard]] const trace::TraceSet& traces() const;
-  /// The cursor bank backing a streaming-mode run; null otherwise.
-  [[nodiscard]] const trace::StreamingTraces* streaming() const {
-    return streaming_.get();
-  }
   [[nodiscard]] metrics::MetricsCollector& collector() { return *collector_; }
   [[nodiscard]] core::EcoCloudController* ecocloud() { return eco_.get(); }
   [[nodiscard]] baseline::CentralizedController* centralized() {
@@ -192,8 +193,8 @@ class DailyScenario {
   [[nodiscard]] faults::FaultInjector* fault_injector() { return injector_.get(); }
 
  private:
-  /// Shared wiring once the trace source (traces_ or streaming_) exists:
-  /// fleet, trace driver, controller, collector, fault injector.
+  /// Wiring both constructors share: fleet, controller, collector, fault
+  /// injector. Each constructor then builds its trace source and driver.
   void init(const baseline::CentralizedParams& centralized_params);
 
   DailyConfig config_;
@@ -201,6 +202,7 @@ class DailyScenario {
   sim::Simulator sim_;
   std::unique_ptr<net::Topology> topology_;
   std::unique_ptr<dc::DataCenter> dc_;
+  /// Loaded traces (the TraceSet constructor) or the synthetic stream.
   std::unique_ptr<trace::TraceSet> traces_;
   std::unique_ptr<trace::StreamingTraces> streaming_;
   std::unique_ptr<core::TraceDriver> trace_driver_;
@@ -257,7 +259,6 @@ class ConsolidationScenario {
   [[nodiscard]] const ConsolidationConfig& config() const { return config_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] dc::DataCenter& datacenter() { return *dc_; }
-  [[nodiscard]] const trace::TraceSet& traces() const { return *traces_; }
   [[nodiscard]] metrics::MetricsCollector& collector() { return *collector_; }
   [[nodiscard]] core::EcoCloudController& controller() { return *eco_; }
   [[nodiscard]] trace::RateEstimator& rates() { return *rates_; }
@@ -277,7 +278,7 @@ class ConsolidationScenario {
   ConsolidationConfig config_;
   sim::Simulator sim_;
   std::unique_ptr<dc::DataCenter> dc_;
-  std::unique_ptr<trace::TraceSet> traces_;
+  std::unique_ptr<trace::StreamingTraces> streaming_;
   std::unique_ptr<core::TraceDriver> trace_driver_;
   std::unique_ptr<core::EcoCloudController> eco_;
   std::unique_ptr<core::OpenSystemDriver> open_;

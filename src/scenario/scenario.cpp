@@ -93,50 +93,40 @@ void build_fleet(dc::DataCenter& datacenter, const FleetConfig& fleet) {
   }
 }
 
+std::size_t trace_steps(sim::SimTime horizon_s,
+                        const trace::WorkloadConfig& workload) {
+  const double steps = horizon_s / workload.sample_period_s;
+  util::require(steps >= 0.0 && steps <= kMaxTraceSteps,
+                "trace_steps: horizon / sample period must be in [0, 2^32]");
+  return static_cast<std::size_t>(steps) + 2;
+}
+
 DailyScenario::DailyScenario(DailyConfig config, Algorithm algorithm,
                              baseline::CentralizedParams centralized_params)
     : config_(std::move(config)), algorithm_(algorithm) {
-  config_.params.validate();
-  util::Rng rng(config_.seed);
-  const auto num_steps =
-      static_cast<std::size_t>(config_.horizon_s /
-                               config_.workload.sample_period_s) +
-      2;
-  trace::WorkloadModel model(config_.workload);
-  // Both generators consume the seed stream identically, so the two modes
-  // produce the same event stream bit for bit (engine_regression_test pins
-  // both against the same hashes).
-  if (config_.streaming_traces) {
-    streaming_ = std::make_unique<trace::StreamingTraces>(
-        trace::StreamingTraces::generate(model, config_.num_vms, num_steps, rng));
-  } else {
-    traces_ = std::make_unique<trace::TraceSet>(
-        trace::TraceSet::generate(model, config_.num_vms, num_steps, rng));
-  }
   init(centralized_params);
+  util::Rng rng(config_.seed);
+  streaming_ = std::make_unique<trace::StreamingTraces>(
+      trace::StreamingTraces::generate(
+          trace::WorkloadModel(config_.workload), config_.num_vms,
+          trace_steps(config_.horizon_s, config_.workload), rng));
+  trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *streaming_);
 }
 
 DailyScenario::DailyScenario(DailyConfig config, trace::TraceSet traces,
                              Algorithm algorithm,
                              baseline::CentralizedParams centralized_params)
     : config_(std::move(config)), algorithm_(algorithm) {
-  config_.params.validate();
-  // Externally supplied traces are materialized by definition.
-  config_.streaming_traces = false;
   config_.num_vms = traces.num_vms();
-  traces_ = std::make_unique<trace::TraceSet>(std::move(traces));
   init(centralized_params);
+  traces_ = std::make_unique<trace::TraceSet>(std::move(traces));
+  trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *traces_);
 }
 
 void DailyScenario::init(const baseline::CentralizedParams& centralized_params) {
+  config_.params.validate();
   dc_ = std::make_unique<dc::DataCenter>();
   build_fleet(*dc_, config_.fleet);
-
-  if (streaming_) {
-    trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *streaming_);
-  } else {
-    trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *traces_);
-  }
 
   util::Rng rng(config_.seed);
   if (algorithm_ == Algorithm::kEcoCloud) {
@@ -186,9 +176,7 @@ void DailyScenario::start() {
   {
     util::ScopedPhase profile(util::Phase::kVmLifecycle);
     for (std::size_t i = 0; i < config_.num_vms; ++i) {
-      const double ram_mb =
-          streaming_ ? streaming_->ram_mb(i) : traces_->ram_mb(i);
-      const dc::VmId vm = dc_->create_vm(0.0, ram_mb);
+      const dc::VmId vm = dc_->create_vm(0.0, trace_driver_->ram_mb(i));
       trace_driver_->map_vm(i, vm);
       if (eco_) {
         eco_->deploy_vm(vm);
@@ -235,13 +223,6 @@ void DailyScenario::run() {
 void DailyScenario::run_resumed() {
   run_slice(config_.horizon_s);
   finish();
-}
-
-const trace::TraceSet& DailyScenario::traces() const {
-  util::require(traces_ != nullptr,
-                "DailyScenario::traces: run is in streaming mode "
-                "(config.streaming_traces) — no materialized TraceSet exists");
-  return *traces_;
 }
 
 std::string daily_config_digest(const DailyConfig& config, const char* algo) {
@@ -345,13 +326,12 @@ ConsolidationScenario::ConsolidationScenario(ConsolidationConfig config)
   }
 
   util::Rng rng(config_.seed);
-  const auto num_steps =
-      static_cast<std::size_t>(config_.horizon_s / config_.workload.sample_period_s) + 2;
-  trace::WorkloadModel model(config_.workload);
-  traces_ = std::make_unique<trace::TraceSet>(
-      trace::TraceSet::generate(model, 6000, num_steps, rng));
+  streaming_ = std::make_unique<trace::StreamingTraces>(
+      trace::StreamingTraces::generate(
+          trace::WorkloadModel(config_.workload), 6000,
+          trace_steps(config_.horizon_s, config_.workload), rng));
 
-  trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *traces_);
+  trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *streaming_);
   eco_ = std::make_unique<core::EcoCloudController>(sim_, *dc_, config_.params,
                                                     rng.split(1));
   rates_ = std::make_unique<trace::RateEstimator>(1800.0);
@@ -366,7 +346,7 @@ ConsolidationScenario::ConsolidationScenario(ConsolidationConfig config)
       static_cast<double>(target) * nu_rate * diurnal.max() * 1.001;
 
   open_ = std::make_unique<core::OpenSystemDriver>(sim_, *dc_, *eco_, *trace_driver_,
-                                                   *traces_, rng.split(2), lambda_fn,
+                                                   rng.split(2), lambda_fn,
                                                    lambda_max, nu_rate);
   open_->set_rate_estimator(rates_.get());
 

@@ -1,32 +1,31 @@
 #pragma once
 
 /// \file streaming_traces.hpp
-/// \brief Lazily generated per-VM demand cursors — TraceSet without the
-///        O(VMs x horizon) sample matrix.
+/// \brief Lazily generated per-VM demand cursors: the one source of
+///        synthetic demand.
 ///
-/// TraceSet::generate materializes every 5-minute sample of every VM up
-/// front: 4 bytes x num_vms x num_steps, which is gigabytes at planet scale
-/// (DESIGN.md §14). StreamingTraces keeps only O(1) state per VM — the
-/// drawn average, the RAM footprint, the current AR(1) deviation, and a
-/// private RNG cursor positioned at the VM's slice of the generation
-/// stream — and advances all cursors one sampling step at a time as the
-/// simulation progresses.
+/// A materialized trace matrix costs 4 bytes x num_vms x num_steps, which
+/// is gigabytes at planet scale (DESIGN.md §14). StreamingTraces keeps
+/// only O(1) state per VM — the drawn average, the RAM footprint, the
+/// current AR(1) deviation, and a private RNG cursor positioned at the
+/// VM's slice of the generation stream — and advances all cursors one
+/// sampling step at a time as the simulation progresses. Every synthetic
+/// run streams; TraceSet::generate is a collect over a stream.
 ///
-/// Bit-compatibility contract: generate() consumes the shared RNG in
-/// EXACTLY the order TraceSet::generate does (both draw each row through
-/// WorkloadModel::draw_row), and the lazily produced
-/// demand at (v, k) equals TraceSet's series value bit for bit (same
-/// draws, same arithmetic, same clamp). A scenario that swaps TraceSet
-/// for StreamingTraces therefore produces the identical event stream —
-/// pinned by tests/engine_regression_test.
+/// Bit-compatibility contract: generate() consumes the shared RNG exactly
+/// as drawing every row on it one normal() at a time would (average, RAM,
+/// then WorkloadModel::generate_series' block), and the demand produced
+/// at (v, k) equals that reference series' sample bit for bit (same draws,
+/// same arithmetic, same clamp). tests/trace_test checks both; the golden
+/// event-stream pins of tests/engine_regression_test rest on them.
 ///
 /// Access is monotone: advance_to(k) may only move forward. Rewinds throw,
 /// and the wrap-around replay TraceSet::percent_at offers for steps beyond
 /// num_steps is not supported — scenarios generate enough steps to cover
-/// their horizon, so neither limitation is reachable from DailyScenario.
-/// After a checkpoint restore the bank starts over at step 0 and the first
-/// advance_to fast-forwards deterministically; no cursor state needs to be
-/// part of the snapshot.
+/// their horizon (scenario::trace_steps), so neither limitation is
+/// reachable from a run. After a checkpoint restore the bank starts over
+/// at step 0 and the first advance_to fast-forwards deterministically; no
+/// cursor state needs to be part of the snapshot.
 ///
 /// Sharding (DESIGN.md §17): generate_partitioned() cuts the generation
 /// stream into K banks, bank k owning the rows congruent to k modulo K —
@@ -51,9 +50,8 @@ namespace ecocloud::trace {
 
 class StreamingTraces {
  public:
-  /// Set up cursors for \p num_vms VMs of \p num_steps samples each,
-  /// consuming \p rng exactly as TraceSet::generate(model, num_vms,
-  /// num_steps, rng) would: generate_partitioned() with one bank.
+  /// Set up cursors for \p num_vms VMs of \p num_steps samples each:
+  /// generate_partitioned() with one bank.
   /// O(num_vms) memory; O(num_vms x num_steps) raw generator steps to skip
   /// each row's series block but only O(num_vms) Box-Muller transforms.
   static StreamingTraces generate(const WorkloadModel& model,
@@ -63,8 +61,8 @@ class StreamingTraces {
   /// generate(), cut into \p num_banks banks: bank k holds the cursors of
   /// the rows congruent to k modulo num_banks. One pass over the shared
   /// RNG in exactly generate()'s draw order, so the union of the banks is
-  /// bit-identical to a single generate() bank (and to TraceSet). Every
-  /// accessor keeps taking GLOBAL row indices.
+  /// bit-identical to a single generate() bank. Every accessor keeps
+  /// taking GLOBAL row indices.
   static std::vector<StreamingTraces> generate_partitioned(
       const WorkloadModel& model, std::size_t num_vms, std::size_t num_steps,
       util::Rng& rng, std::size_t num_banks);
@@ -109,7 +107,7 @@ class StreamingTraces {
   void advance_to(std::size_t step);
 
   /// Punctual utilization (percent) of VM \p v at the current step —
-  /// bit-identical to TraceSet::percent_at(v, current_step()).
+  /// bit-identical to sample current_step() of the reference series.
   [[nodiscard]] double percent_current(std::size_t v) const {
     return static_cast<double>(values_.at(slot(v)));
   }

@@ -1,12 +1,17 @@
 #pragma once
 
 /// \file trace_set.hpp
-/// \brief A generated (or loaded) set of per-VM CPU utilization traces.
+/// \brief A materialized set of per-VM CPU utilization traces: the
+///        container for traces loaded from files.
 ///
 /// Mirrors the paper's data: N VMs, each a series of utilization
-/// percentages sampled every 5 minutes. The set can be synthesised from a
-/// WorkloadModel or round-tripped through CSV (header row, then one row
-/// per VM: id, avg, ram_mb, sample_0, sample_1, ...).
+/// percentages sampled every 5 minutes, held as a VMs x steps matrix.
+/// Sets come from PlanetLab directories (planetlab_io), from raw series,
+/// or round-trip through CSV (header row, then one row per VM: id, avg,
+/// ram_mb, sample_0, sample_1, ...); every loader rejects what a run
+/// could not replay. Synthetic runs never build one — they stream
+/// (StreamingTraces) — so generate() serves only tools that want the whole
+/// matrix: exporting synthetic traces, figure benches, examples.
 
 #include <cstddef>
 #include <iosfwd>
@@ -20,16 +25,20 @@ namespace ecocloud::trace {
 
 class TraceSet {
  public:
-  /// Synthesize \p num_vms traces of \p num_steps samples each.
+  /// Synthesize \p num_vms traces of \p num_steps samples each: a
+  /// StreamingTraces run collected step by step, so the samples and the
+  /// draws from \p rng are exactly the stream's.
   static TraceSet generate(const WorkloadModel& model, std::size_t num_vms,
                            std::size_t num_steps, util::Rng& rng);
 
-  /// Load from CSV previously written by write_csv().
+  /// Load from CSV previously written by write_csv(). Throws
+  /// std::invalid_argument on input from_series would refuse as well.
   static TraceSet read_csv(std::istream& in);
 
   /// Build a set from raw per-VM utilization series (percent). Averages
   /// are computed from the data; RAM footprints default to \p ram_mb.
-  /// All series must have the same non-zero length.
+  /// All series must have the same non-zero length and samples in
+  /// [0, 100]; the period and reference must be finite and > 0.
   static TraceSet from_series(std::vector<std::vector<float>> series,
                               double sample_period_s, double reference_mhz,
                               double ram_mb = 0.0);
@@ -71,6 +80,12 @@ class TraceSet {
 
  private:
   TraceSet() = default;
+
+  /// Throw std::invalid_argument, prefixed with \p who, unless the set is
+  /// replayable: at least one step, a finite positive period and
+  /// reference, one full-length series per VM, finite non-negative RAM,
+  /// and samples within [0, 100].
+  void validate(const char* who) const;
 
   std::size_t num_steps_ = 0;
   sim::SimTime sample_period_s_ = 300.0;

@@ -86,30 +86,22 @@ class WorkloadModel {
   /// computed from the bin table (useful for sizing experiments).
   [[nodiscard]] static double expected_average_percent();
 
-  /// Draw one trace row from the shared stream \p rng in the order every
-  /// trace generator uses: average, RAM, then a series block of
+  /// Draw one trace row from the shared stream \p rng in the order the
+  /// series reference uses: average, RAM, then a series block of
   /// 1 + \p num_steps normals — the stationary deviation and one innovation
   /// per step. The row's cursor draws the deviation and keeps the rest of
   /// the block; \p rng skips the whole block exactly (Rng::discard_normals).
   [[nodiscard]] TraceRow draw_row(util::Rng& rng, std::size_t num_steps) const;
 
-  /// g(t) at the \p num_steps sample times from \p start_time: the diurnal
-  /// term every VM's series shares, computed once per step.
-  [[nodiscard]] std::vector<double> diurnal_factors(
-      std::size_t num_steps, sim::SimTime start_time = 0.0) const;
-
   /// Generate a punctual utilization series (percent) of \p num_steps
   /// samples for a VM with the given average, starting at \p start_time.
-  /// Deviations evolve as AR(1); values are clamped to [0, 100].
+  /// Deviations evolve as AR(1); values are clamped to [0, 100]. Draws every
+  /// normal from \p rng, one at a time: the reference the trace cursors
+  /// (StreamingTraces) are tested against.
   [[nodiscard]] std::vector<float> generate_series(util::Rng& rng,
                                                    double avg_percent,
                                                    std::size_t num_steps,
                                                    sim::SimTime start_time = 0.0) const;
-
-  /// The series of a drawn \p row over precomputed diurnal_factors(), one
-  /// sample each; draws the innovations from row.cursor.
-  [[nodiscard]] std::vector<float> generate_series(
-      TraceRow& row, const std::vector<double>& diurnal) const;
 
   /// Convert a utilization percentage to MHz demand under this model.
   [[nodiscard]] double percent_to_mhz(double percent) const {
@@ -121,10 +113,6 @@ class WorkloadModel {
   [[nodiscard]] double deviation_sigma(double avg_percent) const {
     return config_.dev_base + config_.dev_slope * avg_percent;
   }
-
-  [[nodiscard]] std::vector<float> series_from(
-      util::Rng& rng, double avg_percent, double dev,
-      const std::vector<double>& diurnal) const;
 
   WorkloadConfig config_;
 };

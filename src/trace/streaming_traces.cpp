@@ -46,11 +46,11 @@ std::vector<StreamingTraces> StreamingTraces::generate_partitioned(
   }
 
   const double diurnal0 = model.config().diurnal.value(0.0);
-  // One pass over the shared stream, drawing each row as TraceSet::generate
-  // does; only the bank each row's columns land in differs. Row v is stored
-  // at slot v / num_banks of bank v % num_banks, so the per-bank append
-  // order is the global row order restricted to the bank — slot() stays
-  // arithmetic.
+  // One pass over the shared stream, drawing the rows in order whatever
+  // the bank count; only the bank each row's columns land in differs. Row
+  // v is stored at slot v / num_banks of bank v % num_banks, so the
+  // per-bank append order is the global row order restricted to the bank
+  // — slot() stays arithmetic.
   for (std::size_t v = 0; v < num_vms; ++v) {
     StreamingTraces& bank = banks[v % num_banks];
     const TraceRow row = model.draw_row(rng, num_steps);

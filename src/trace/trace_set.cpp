@@ -1,8 +1,12 @@
 #include "ecocloud/trace/trace_set.hpp"
 
+#include <cmath>
 #include <istream>
 #include <ostream>
+#include <stdexcept>
+#include <string>
 
+#include "ecocloud/trace/streaming_traces.hpp"
 #include "ecocloud/util/csv.hpp"
 #include "ecocloud/util/string_util.hpp"
 #include "ecocloud/util/validation.hpp"
@@ -11,21 +15,23 @@ namespace ecocloud::trace {
 
 TraceSet TraceSet::generate(const WorkloadModel& model, std::size_t num_vms,
                             std::size_t num_steps, util::Rng& rng) {
-  util::require(num_vms > 0, "TraceSet::generate: num_vms must be > 0");
-  util::require(num_steps > 0, "TraceSet::generate: num_steps must be > 0");
+  StreamingTraces stream =
+      StreamingTraces::generate(model, num_vms, num_steps, rng);
   TraceSet set;
   set.num_steps_ = num_steps;
-  set.sample_period_s_ = model.config().sample_period_s;
-  set.reference_mhz_ = model.config().reference_mhz;
-  set.averages_.reserve(num_vms);
-  set.ram_mb_.reserve(num_vms);
-  set.series_.reserve(num_vms);
-  const std::vector<double> diurnal = model.diurnal_factors(num_steps);
+  set.sample_period_s_ = stream.sample_period_s();
+  set.reference_mhz_ = stream.reference_mhz();
+  set.series_.resize(num_vms);
   for (std::size_t v = 0; v < num_vms; ++v) {
-    TraceRow row = model.draw_row(rng, num_steps);
-    set.averages_.push_back(row.average_percent);
-    set.ram_mb_.push_back(row.ram_mb);
-    set.series_.push_back(model.generate_series(row, diurnal));
+    set.averages_.push_back(stream.average_percent(v));
+    set.ram_mb_.push_back(stream.ram_mb(v));
+    set.series_[v].reserve(num_steps);
+  }
+  for (std::size_t k = 0; k < num_steps; ++k) {
+    stream.advance_to(k);
+    for (std::size_t v = 0; v < num_vms; ++v) {
+      set.series_[v].push_back(static_cast<float>(stream.percent_current(v)));
+    }
   }
   return set;
 }
@@ -34,27 +40,38 @@ TraceSet TraceSet::from_series(std::vector<std::vector<float>> series,
                                double sample_period_s, double reference_mhz,
                                double ram_mb) {
   util::require(!series.empty(), "TraceSet::from_series: no series");
-  util::require(sample_period_s > 0.0, "TraceSet::from_series: bad period");
-  util::require(reference_mhz > 0.0, "TraceSet::from_series: bad reference");
-  const std::size_t steps = series.front().size();
-  util::require(steps > 0, "TraceSet::from_series: empty series");
   TraceSet set;
-  set.num_steps_ = steps;
+  set.num_steps_ = series.front().size();
   set.sample_period_s_ = sample_period_s;
   set.reference_mhz_ = reference_mhz;
   for (auto& s : series) {
-    util::require(s.size() == steps, "TraceSet::from_series: ragged series");
     double total = 0.0;
-    for (float x : s) {
-      util::require(x >= 0.0f && x <= 100.0f,
-                    "TraceSet::from_series: samples must be in [0,100]");
-      total += static_cast<double>(x);
-    }
-    set.averages_.push_back(total / static_cast<double>(steps));
+    for (float x : s) total += static_cast<double>(x);
+    set.averages_.push_back(total / static_cast<double>(s.size()));
     set.ram_mb_.push_back(ram_mb);
     set.series_.push_back(std::move(s));
   }
+  set.validate("TraceSet::from_series");
   return set;
+}
+
+void TraceSet::validate(const char* who) const {
+  const auto check = [who](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  check(num_steps_ > 0, "empty series");
+  check(std::isfinite(sample_period_s_) && sample_period_s_ > 0.0,
+        "sample period must be finite and > 0");
+  check(std::isfinite(reference_mhz_) && reference_mhz_ > 0.0,
+        "reference must be finite and > 0");
+  for (std::size_t v = 0; v < series_.size(); ++v) {
+    check(series_[v].size() == num_steps_, "ragged series");
+    check(std::isfinite(ram_mb_[v]) && ram_mb_[v] >= 0.0,
+          "RAM footprints must be finite and >= 0");
+    for (float x : series_[v]) {
+      check(x >= 0.0f && x <= 100.0f, "samples must be in [0,100]");
+    }
+  }
 }
 
 double TraceSet::average_percent(std::size_t v) const { return averages_.at(v); }
@@ -92,8 +109,13 @@ TraceSet TraceSet::read_csv(std::istream& in) {
   util::require(!rows.empty(), "TraceSet::read_csv: empty input");
   const auto& head = rows.front();
   util::require(head.size() == 4, "TraceSet::read_csv: malformed header row");
-  const auto num_vms = static_cast<std::size_t>(util::parse_int(head[0]));
-  const auto num_steps = static_cast<std::size_t>(util::parse_int(head[1]));
+  // Counts are checked before the size_t casts: a negative one would wrap.
+  const long long vm_count = util::parse_int(head[0]);
+  const long long step_count = util::parse_int(head[1]);
+  util::require(vm_count >= 1 && step_count >= 1,
+                "TraceSet::read_csv: VM and step counts must be >= 1");
+  const auto num_vms = static_cast<std::size_t>(vm_count);
+  const auto num_steps = static_cast<std::size_t>(step_count);
   TraceSet set;
   set.num_steps_ = num_steps;
   set.sample_period_s_ = util::parse_double(head[2]);
@@ -112,6 +134,7 @@ TraceSet TraceSet::read_csv(std::istream& in) {
     }
     set.series_.push_back(std::move(series));
   }
+  set.validate("TraceSet::read_csv");
   return set;
 }
 

@@ -64,17 +64,6 @@ TraceRow WorkloadModel::draw_row(util::Rng& rng, std::size_t num_steps) const {
   return row;
 }
 
-std::vector<double> WorkloadModel::diurnal_factors(std::size_t num_steps,
-                                                   sim::SimTime start_time) const {
-  std::vector<double> factors;
-  factors.reserve(num_steps);
-  for (std::size_t k = 0; k < num_steps; ++k) {
-    factors.push_back(config_.diurnal.value(
-        start_time + static_cast<double>(k) * config_.sample_period_s));
-  }
-  return factors;
-}
-
 std::vector<float> WorkloadModel::generate_series(util::Rng& rng, double avg_percent,
                                                   std::size_t num_steps,
                                                   sim::SimTime start_time) const {
@@ -82,24 +71,15 @@ std::vector<float> WorkloadModel::generate_series(util::Rng& rng, double avg_per
                 "WorkloadModel::generate_series: avg must be in [0,100]");
   // Start the AR(1) from its stationary distribution so the series has no
   // warm-up transient.
-  const double dev = rng.normal(0.0, deviation_sigma(avg_percent));
-  return series_from(rng, avg_percent, dev, diurnal_factors(num_steps, start_time));
-}
-
-std::vector<float> WorkloadModel::generate_series(
-    TraceRow& row, const std::vector<double>& diurnal) const {
-  return series_from(row.cursor, row.average_percent, row.deviation, diurnal);
-}
-
-std::vector<float> WorkloadModel::series_from(util::Rng& rng, double avg_percent,
-                                              double dev,
-                                              const std::vector<double>& diurnal) const {
-  std::vector<float> series;
-  series.reserve(diurnal.size());
+  double dev = rng.normal(0.0, deviation_sigma(avg_percent));
   const double rho = config_.ar1_rho;
   const double innovation_scale =
       deviation_sigma(avg_percent) * std::sqrt(1.0 - rho * rho);
-  for (const double g : diurnal) {
+  std::vector<float> series;
+  series.reserve(num_steps);
+  for (std::size_t k = 0; k < num_steps; ++k) {
+    const double g = config_.diurnal.value(
+        start_time + static_cast<double>(k) * config_.sample_period_s);
     const double base = avg_percent * g;
     const double value = std::clamp(base + dev, 0.0, 100.0);
     series.push_back(static_cast<float>(value));

@@ -455,30 +455,6 @@ TEST(CheckpointResume, FastSamplerRunIsBitIdenticalFromEverySnapshot) {
   std::remove(path.c_str());
 }
 
-// Snapshots are portable across trace-memory modes: a checkpoint taken by
-// a materialized-TraceSet run restores into a streaming-cursor run (and
-// vice versa) and finishes bit-identically. The streaming bank carries no
-// snapshot state — it regenerates at step 0 and fast-forwards on first
-// use — and config.streaming_traces is deliberately not in the digest.
-TEST(CheckpointResume, SnapshotsArePortableAcrossTraceMemoryModes) {
-  scenario::DailyConfig config = resume_daily_config();
-  const std::string path = temp_path("daily_xmode.ckpt");
-  std::vector<std::string> copies;
-  const DailyResult reference =
-      run_daily_reference(config, 1800.0, path, copies);
-  ASSERT_GE(copies.size(), 3u);
-
-  scenario::DailyConfig streaming_config = config;
-  streaming_config.streaming_traces = true;
-  for (const std::size_t index : {std::size_t{0}, copies.size() - 1}) {
-    SCOPED_TRACE("snapshot #" + std::to_string(index));
-    const DailyResult resumed = resume_daily(streaming_config, copies[index]);
-    expect_same(resumed, reference);
-  }
-  remove_all(copies);
-  std::remove(path.c_str());
-}
-
 // Chained resume: interrupt the *resumed* run again and resume from its
 // own snapshot. Crash-safety must compose across generations of resumes.
 TEST(CheckpointResume, DailyResumeOfAResumeStaysBitIdentical) {

@@ -7,6 +7,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "ecocloud/scenario/config_io.hpp"
 #include "ecocloud/trace/planetlab_io.hpp"
@@ -118,6 +121,41 @@ TEST(ConfigIo, DailyRejectsUnknownKeys) {
 TEST(ConfigIo, DailyRejectsInvalidParameters) {
   std::istringstream in("th = 0.5\n");  // Th must exceed Ta = 0.9
   EXPECT_THROW(scenario::load_daily_config(in), std::invalid_argument);
+
+  // Values no run can be built from are refused by key before any trace
+  // is generated: a horizon that is not a finite, positive, representable
+  // number of samples, and negative counts (which would wrap through the
+  // size_t casts).
+  const std::pair<const char*, const char*> bad[] = {
+      {"horizon_hours = -1\n", "horizon_hours"},
+      {"horizon_hours = 0\n", "horizon_hours"},
+      {"horizon_hours = nan\n", "horizon_hours"},
+      {"horizon_hours = inf\n", "horizon_hours"},
+      {"horizon_hours = 1e13\n", "horizon_hours"},
+      {"sample_period_s = 0\n", "sample_period_s"},
+      {"sample_period_s = -300\n", "sample_period_s"},
+      {"sample_period_s = nan\n", "sample_period_s"},
+      {"servers = -1\n", "servers"},
+      {"vms = -1\n", "vms"},
+  };
+  for (const auto& [text, key] : bad) {
+    std::istringstream daily(text);
+    try {
+      (void)scenario::load_daily_config(daily);
+      ADD_FAILURE() << "daily config accepted: " << text;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(key), std::string::npos)
+          << error.what();
+    }
+    if (std::string(key) == "vms") continue;  // no such consolidation key
+    std::istringstream consolidation(text);
+    EXPECT_THROW((void)scenario::load_consolidation_config(consolidation),
+                 std::invalid_argument)
+        << text;
+  }
+  std::istringstream negative_vms("initial_vms = -1\n");
+  EXPECT_THROW((void)scenario::load_consolidation_config(negative_vms),
+               std::invalid_argument);
 }
 
 TEST(ConfigIo, ConsolidationDefaultsAndOverrides) {

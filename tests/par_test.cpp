@@ -18,6 +18,7 @@
 #include "ecocloud/par/partition.hpp"
 #include "ecocloud/par/sharded_runner.hpp"
 #include "ecocloud/scenario/scenario.hpp"
+#include "ecocloud/trace/trace_set.hpp"
 
 using namespace ecocloud;
 
@@ -616,84 +617,83 @@ TEST(EventMerge, CsvMatchesEventLogFormat) {
 
 // ---------------------------------------------- per-shard streaming banks
 
-TEST(ShardedDailyRun, StreamingBanksMatchMaterializedSharded) {
-  // The tentpole equivalence (DESIGN.md §17): a sharded run driven from
-  // per-shard streaming cursor banks is bit-identical to the same run
-  // driven from the shared materialized TraceSet. small_config at K=4
-  // produces cross-shard hand-offs, so the adoption path (copying a row's
-  // cursor from its owner bank at a barrier) is genuinely exercised.
-  const auto config = small_config();
-  par::ShardedDailyRun materialized(config, {.shards = 4, .threads = 2});
-  materialized.run();
-  ASSERT_GT(materialized.stats().cross_shard_migrations, 0u);
+// Demand oracle for cross-shard hand-offs: at every barrier, each VM a
+// shard drives carries exactly the demand of its trace row, read from a
+// TraceSet generated apart from the run with the same seed. Rows reach a
+// shard other than their owner through deploy retries and hand-offs (the
+// bank adopts a copy of the row) and, after a restore, through
+// re-adoption; each path must deliver that row's demand at every later
+// step, not a stale or a foreign one.
+TEST(ShardedDailyRun, CrossShardRowsDriveTheirOwnTraceDemand) {
+  for (const scenario::DailyConfig& base : {small_config(), faulted_config()}) {
+    SCOPED_TRACE(base.faults.enabled() ? "faulted" : "fault-free");
+    util::Rng rng(base.seed);
+    const trace::TraceSet reference = trace::TraceSet::generate(
+        trace::WorkloadModel(base.workload), base.num_vms,
+        scenario::trace_steps(base.horizon_s, base.workload), rng);
+    std::size_t checked = 0;
+    const auto check_at_barriers = [&reference, &checked](
+                                       par::ShardedDailyRun& run) {
+      run.on_barrier = [&run, &reference, &checked](sim::SimTime t) {
+        const std::size_t step = reference.step_at(t);
+        for (std::size_t k = 0; k < run.num_shards(); ++k) {
+          const par::Shard& shard = run.shard(k);
+          for (const auto& [vm, row] : shard.trace_driver().mapped_vms()) {
+            ASSERT_EQ(shard.datacenter().vm_demand_mhz(vm),
+                      reference.demand_mhz_at(row, step))
+                << "t " << t << " shard " << k << " vm " << vm << " row "
+                << row;
+            ++checked;
+          }
+        }
+      };
+    };
 
-  auto streaming_config = config;
-  streaming_config.streaming_traces = true;
-  par::ShardedDailyRun streaming(streaming_config, {.shards = 4, .threads = 2});
-  for (std::size_t k = 0; k < streaming.num_shards(); ++k) {
-    // streaming_traces is honored — never silently downgraded to a
-    // materialized TraceSet behind the operator's back.
-    ASSERT_NE(streaming.shard(k).streaming_bank(), nullptr);
+    auto config = base;
+    config.run.checkpoint_out = temp_path("oracle.ckpt");
+    config.run.checkpoint_every_s = 5400.0;  // one snapshot, mid-horizon
+    const std::string snapshot = temp_path("oracle_mid.ckpt");
+    par::ShardedDailyRun run(config, {.shards = 4, .threads = 2});
+    check_at_barriers(run);
+    bool captured = false;
+    run.on_checkpoint = [&](const std::string& path) {
+      if (captured) return;
+      captured = true;
+      std::ofstream out(snapshot, std::ios::binary);
+      out << slurp(path);
+    };
+    run.run();
+    // Adoption only runs when VMs cross shards.
+    ASSERT_GT(run.stats().cross_shard_migrations, 0u);
+    ASSERT_GT(checked, 0u);
+    ASSERT_TRUE(captured);
+
+    par::ShardedDailyRun resumed(base, {.shards = 4, .threads = 1});
+    resumed.restore_snapshot(snapshot);
+    std::size_t foreign_rows = 0;
+    for (std::size_t k = 0; k < resumed.num_shards(); ++k) {
+      const par::Shard& shard = resumed.shard(k);
+      for (const auto& [vm, row] : shard.trace_driver().mapped_vms()) {
+        (void)vm;
+        if (resumed.plan().shard_of_trace(row) != k) ++foreign_rows;
+      }
+    }
+    ASSERT_GT(foreign_rows, 0u) << "the snapshot holds no re-adopted rows";
+    checked = 0;
+    check_at_barriers(resumed);
+    resumed.run();
+    EXPECT_GT(checked, 0u);
+
+    std::remove(snapshot.c_str());
+    std::remove(config.run.checkpoint_out.c_str());
   }
-  streaming.run();
-
-  EXPECT_EQ(events_csv(streaming), events_csv(materialized));
-  EXPECT_EQ(streaming.stats().energy_joules,
-            materialized.stats().energy_joules);
-  EXPECT_EQ(streaming.stats().cross_shard_migrations,
-            materialized.stats().cross_shard_migrations);
-  expect_samples_identical(streaming.merged_samples(),
-                           materialized.merged_samples());
-}
-
-TEST(ShardedDailyRun, StreamingSingleShardMatchesSingleThreadedStreaming) {
-  auto config = small_config();
-  config.streaming_traces = true;
-
-  scenario::DailyScenario reference(config);
-  metrics::EventLog reference_log;
-  reference_log.attach(*reference.ecocloud());
-  reference.run();
-
-  par::ShardedDailyRun sharded(config, {.shards = 1, .threads = 1});
-  ASSERT_NE(sharded.shard(0).streaming_bank(), nullptr);
-  sharded.run();
-
-  std::ostringstream reference_csv;
-  reference_log.write_csv(reference_csv);
-  EXPECT_EQ(events_csv(sharded), reference_csv.str());
-  EXPECT_EQ(sharded.stats().energy_joules,
-            reference.datacenter().energy_joules());
-  expect_samples_identical(sharded.merged_samples(),
-                           reference.collector().samples());
-}
-
-TEST(ShardedDailyRun, FaultedStreamingMatchesFaultedMaterialized) {
-  // Crash/repair churn plus redeploys on top of the cursor banks: the
-  // fault draws live on RNG stream 7, trace generation on the shared
-  // stream, so the trajectories must still agree byte for byte.
-  const auto config = faulted_config();
-  par::ShardedDailyRun materialized(config, {.shards = 4, .threads = 2});
-  materialized.run();
-
-  auto streaming_config = config;
-  streaming_config.streaming_traces = true;
-  par::ShardedDailyRun streaming(streaming_config, {.shards = 4, .threads = 2});
-  streaming.run();
-
-  EXPECT_EQ(events_csv(streaming), events_csv(materialized));
-  EXPECT_EQ(streaming.stats().energy_joules,
-            materialized.stats().energy_joules);
-  expect_samples_identical(streaming.merged_samples(),
-                           materialized.merged_samples());
 }
 
 TEST(ShardedDailyRun, StreamingCheckpointResumeReplaysExactly) {
   // Restore path: banks regenerate at step 0, fast-forward to the snapshot
   // barrier, and the coordinator re-adopts every cross-shard row from its
   // owner bank before the run continues.
-  auto config = small_config();
-  config.streaming_traces = true;
+  const auto config = small_config();
 
   par::ShardedDailyRun reference(config, {.shards = 4, .threads = 2});
   reference.run();
@@ -731,43 +731,5 @@ TEST(ShardedDailyRun, StreamingCheckpointResumeReplaysExactly) {
 
   std::remove(first_snapshot.c_str());
   std::remove(late_snapshot.c_str());
-  std::remove(ckpt_config.run.checkpoint_out.c_str());
-}
-
-TEST(ShardedDailyRun, ShardedSnapshotsArePortableAcrossTraceMemoryModes) {
-  // Mirror of the single-threaded cross-mode test (ckpt_test): a snapshot
-  // written by a materialized K=2 run restores into a streaming K=2 run —
-  // the banks carry no snapshot state and streaming_traces is deliberately
-  // not in the digest.
-  const auto config = small_config();
-  par::ShardedDailyRun reference(config, {.shards = 2, .threads = 2});
-  reference.run();
-
-  auto ckpt_config = config;
-  ckpt_config.run.checkpoint_out = temp_path("xmode_shard.ckpt");
-  ckpt_config.run.checkpoint_every_s = 1800.0;
-  const std::string snapshot = temp_path("xmode_shard_first.ckpt");
-  par::ShardedDailyRun checkpointed(ckpt_config, {.shards = 2, .threads = 2});
-  bool captured = false;
-  checkpointed.on_checkpoint = [&](const std::string& path) {
-    if (!captured) {
-      captured = true;
-      std::ofstream out(snapshot, std::ios::binary);
-      out << slurp(path);
-    }
-  };
-  checkpointed.run();
-  ASSERT_TRUE(captured);
-
-  auto streaming_config = config;
-  streaming_config.streaming_traces = true;
-  par::ShardedDailyRun resumed(streaming_config, {.shards = 2, .threads = 1});
-  resumed.restore_snapshot(snapshot);
-  ASSERT_TRUE(resumed.resumed());
-  resumed.run();
-  EXPECT_EQ(events_csv(resumed), events_csv(reference));
-  EXPECT_EQ(resumed.stats().energy_joules, reference.stats().energy_joules);
-
-  std::remove(snapshot.c_str());
   std::remove(ckpt_config.run.checkpoint_out.c_str());
 }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "ecocloud/scenario/scenario.hpp"
 
 using namespace ecocloud;
@@ -198,4 +201,23 @@ TEST(ExternalTraces, DriveTheDailyScenario) {
   EXPECT_EQ(d.placed_vm_count(), 2u);
   // Constant demands: total demand equals the sum of the two traces.
   EXPECT_NEAR(d.total_demand_mhz(), 1000.0, 1e-6);
+
+  // A one-hour ramp (10 + k percent at step k) under the 3-hour horizon:
+  // each 5-minute tick must read its own step, and past the end of the
+  // series the replay wraps around to its start.
+  std::vector<float> ramp;
+  for (int k = 0; k < 12; ++k) ramp.push_back(10.0f + static_cast<float>(k));
+  scenario::DailyScenario replay(
+      config, trace::TraceSet::from_series({ramp}, 300.0, 2000.0, 512.0));
+  replay.start();
+  const std::pair<int, double> expected[] = {
+      {0, 10.0}, {1, 11.0}, {7, 17.0}, {11, 21.0}, {12, 10.0}, {29, 15.0}};
+  for (const auto& [step, percent] : expected) {
+    replay.run_slice(step * 300.0);
+    EXPECT_DOUBLE_EQ(replay.datacenter().vm_demand_mhz(0),
+                     percent / 100.0 * 2000.0)
+        << "step " << step;
+  }
+  EXPECT_TRUE(replay.run_slice(config.horizon_s));
+  replay.finish();
 }

@@ -333,6 +333,16 @@ TEST(CampaignServer, MalformedSubmissionIs400WithLineNumber) {
       make_request("POST", "/campaigns", "servers = 4\nwat = 1\n"));
   EXPECT_EQ(status_of(response), 400);
   EXPECT_NE(response.body.find("line"), std::string::npos) << response.body;
+
+  // A horizon that is not a number is refused by key before any trace is
+  // generated, so it cannot tie up a worker.
+  const auto nan_horizon = server.handle(
+      make_request("POST", "/campaigns", "servers = 4\nhorizon_hours = nan\n"));
+  EXPECT_EQ(status_of(nan_horizon), 400);
+  EXPECT_NE(nan_horizon.body.find("'horizon_hours'"), std::string::npos)
+      << nan_horizon.body;
+  EXPECT_NE(nan_horizon.body.find("line 2"), std::string::npos)
+      << nan_horizon.body;
   server.drain();
 }
 

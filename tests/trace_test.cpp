@@ -239,6 +239,33 @@ TEST(TraceSet, ReadRejectsMalformed) {
   EXPECT_THROW(trace::TraceSet::read_csv(empty), std::invalid_argument);
   std::istringstream bad_header("1,2\n");
   EXPECT_THROW(trace::TraceSet::read_csv(bad_header), std::invalid_argument);
+
+  // A loader of untrusted files checks what from_series checks: counts
+  // >= 1 (a zero step count would divide by zero in percent_at; a negative
+  // one would wrap through the size_t cast and pass the row-size check), a
+  // finite positive period and reference, finite RAM, and samples in
+  // [0, 100].
+  const char* malformed[] = {
+      "3,0,300,2000\n0,10,512\n1,10,512\n2,10,512\n",
+      "1,-1,300,2000\n0,10\n",
+      "0,2,300,2000\n",
+      "1,2,0,2000\n0,10,512,10,20\n",
+      "1,2,nan,2000\n0,10,512,10,20\n",
+      "1,2,300,0\n0,10,512,10,20\n",
+      "1,2,300,inf\n0,10,512,10,20\n",
+      "1,2,300,2000\n0,10,512,500,20\n",
+      "1,2,300,2000\n0,10,512,-7,20\n",
+      "1,2,300,2000\n0,10,512,nan,20\n",
+      "1,2,300,2000\n0,10,nan,10,20\n",
+  };
+  for (const char* text : malformed) {
+    std::istringstream in(text);
+    EXPECT_THROW(trace::TraceSet::read_csv(in), std::invalid_argument) << text;
+  }
+  std::istringstream good("1,2,300,2000\n0,15,512,10,20\n");
+  const auto set = trace::TraceSet::read_csv(good);
+  EXPECT_EQ(set.num_steps(), 2u);
+  EXPECT_DOUBLE_EQ(set.percent_at(0, 3), 20.0);
 }
 
 TEST(TraceSet, TotalDemand) {
