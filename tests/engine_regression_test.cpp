@@ -19,6 +19,7 @@
 #include "ecocloud/metrics/event_log.hpp"
 #include "ecocloud/metrics/event_log_binary.hpp"
 #include "ecocloud/scenario/scenario.hpp"
+#include "ecocloud/trace/trace_set.hpp"
 
 namespace {
 
@@ -41,8 +42,7 @@ struct StreamFingerprint {
   std::size_t events = 0;
 };
 
-StreamFingerprint run_and_fingerprint(scenario::DailyConfig config) {
-  scenario::DailyScenario scenario(std::move(config));
+StreamFingerprint run_and_fingerprint(scenario::DailyScenario& scenario) {
   metrics::EventLog log;
   log.attach(*scenario.ecocloud());
   scenario.run();
@@ -66,6 +66,11 @@ StreamFingerprint run_and_fingerprint(scenario::DailyConfig config) {
   return StreamFingerprint{fnv1a(text), text.size(), log.events().size()};
 }
 
+StreamFingerprint run_and_fingerprint(scenario::DailyConfig config) {
+  scenario::DailyScenario scenario(std::move(config));
+  return run_and_fingerprint(scenario);
+}
+
 TEST(EngineRegression, PaperScaleEventStreamPinned) {
   scenario::DailyConfig config;  // 400 servers, 6,000 VMs, 48 h
   config.warmup_s = 6.0 * sim::kHour;
@@ -73,6 +78,26 @@ TEST(EngineRegression, PaperScaleEventStreamPinned) {
   EXPECT_EQ(fp.hash, 1180743103847393382ULL)
       << "paper-scale event CSV diverged (bytes=" << fp.bytes
       << " events=" << fp.events << " hash=" << fp.hash << ")";
+  EXPECT_EQ(fp.bytes, 746824u);
+  EXPECT_EQ(fp.events, 22196u);
+}
+
+// The same run with its traces materialized: TraceSet::generate collects
+// the stream into a matrix, which drives the scenario through the
+// loaded-trace constructor. Both TraceDriver paths, cursor bank and
+// matrix, must reproduce the pin above: same hash, same bytes, same events.
+TEST(EngineRegression, PaperScaleStreamingTracesMatchesMaterializedPin) {
+  scenario::DailyConfig config;
+  config.warmup_s = 6.0 * sim::kHour;
+  util::Rng rng(config.seed);
+  trace::TraceSet traces = trace::TraceSet::generate(
+      trace::WorkloadModel(config.workload), config.num_vms,
+      scenario::trace_steps(config.horizon_s, config.workload), rng);
+  scenario::DailyScenario materialized(config, std::move(traces));
+  const StreamFingerprint fp = run_and_fingerprint(materialized);
+  EXPECT_EQ(fp.hash, 1180743103847393382ULL)
+      << "materialized-trace event CSV diverged from the streaming pin "
+      << "(bytes=" << fp.bytes << " events=" << fp.events << ")";
   EXPECT_EQ(fp.bytes, 746824u);
   EXPECT_EQ(fp.events, 22196u);
 }

@@ -617,76 +617,115 @@ TEST(EventMerge, CsvMatchesEventLogFormat) {
 
 // ---------------------------------------------- per-shard streaming banks
 
+namespace {
+
 // Demand oracle for cross-shard hand-offs: at every barrier, each VM a
 // shard drives carries exactly the demand of its trace row, read from a
 // TraceSet generated apart from the run with the same seed. Rows reach a
 // shard other than their owner through deploy retries and hand-offs (the
 // bank adopts a copy of the row) and, after a restore, through
 // re-adoption; each path must deliver that row's demand at every later
-// step, not a stale or a foreign one.
-TEST(ShardedDailyRun, CrossShardRowsDriveTheirOwnTraceDemand) {
-  for (const scenario::DailyConfig& base : {small_config(), faulted_config()}) {
-    SCOPED_TRACE(base.faults.enabled() ? "faulted" : "fault-free");
-    util::Rng rng(base.seed);
-    const trace::TraceSet reference = trace::TraceSet::generate(
-        trace::WorkloadModel(base.workload), base.num_vms,
-        scenario::trace_steps(base.horizon_s, base.workload), rng);
-    std::size_t checked = 0;
-    const auto check_at_barriers = [&reference, &checked](
-                                       par::ShardedDailyRun& run) {
-      run.on_barrier = [&run, &reference, &checked](sim::SimTime t) {
-        const std::size_t step = reference.step_at(t);
-        for (std::size_t k = 0; k < run.num_shards(); ++k) {
-          const par::Shard& shard = run.shard(k);
-          for (const auto& [vm, row] : shard.trace_driver().mapped_vms()) {
-            ASSERT_EQ(shard.datacenter().vm_demand_mhz(vm),
-                      reference.demand_mhz_at(row, step))
-                << "t " << t << " shard " << k << " vm " << vm << " row "
-                << row;
-            ++checked;
-          }
+// step, not a stale or a foreign one. \p tag keeps the snapshot files of
+// concurrently running tests apart.
+void expect_rows_drive_their_own_demand(const scenario::DailyConfig& base,
+                                        const std::string& tag) {
+  util::Rng rng(base.seed);
+  const trace::TraceSet reference = trace::TraceSet::generate(
+      trace::WorkloadModel(base.workload), base.num_vms,
+      scenario::trace_steps(base.horizon_s, base.workload), rng);
+  std::size_t checked = 0;
+  const auto check_at_barriers = [&reference, &checked](
+                                     par::ShardedDailyRun& run) {
+    run.on_barrier = [&run, &reference, &checked](sim::SimTime t) {
+      const std::size_t step = reference.step_at(t);
+      for (std::size_t k = 0; k < run.num_shards(); ++k) {
+        const par::Shard& shard = run.shard(k);
+        for (const auto& [vm, row] : shard.trace_driver().mapped_vms()) {
+          ASSERT_EQ(shard.datacenter().vm_demand_mhz(vm),
+                    reference.demand_mhz_at(row, step))
+              << "t " << t << " shard " << k << " vm " << vm << " row "
+              << row;
+          ++checked;
         }
-      };
-    };
-
-    auto config = base;
-    config.run.checkpoint_out = temp_path("oracle.ckpt");
-    config.run.checkpoint_every_s = 5400.0;  // one snapshot, mid-horizon
-    const std::string snapshot = temp_path("oracle_mid.ckpt");
-    par::ShardedDailyRun run(config, {.shards = 4, .threads = 2});
-    check_at_barriers(run);
-    bool captured = false;
-    run.on_checkpoint = [&](const std::string& path) {
-      if (captured) return;
-      captured = true;
-      std::ofstream out(snapshot, std::ios::binary);
-      out << slurp(path);
-    };
-    run.run();
-    // Adoption only runs when VMs cross shards.
-    ASSERT_GT(run.stats().cross_shard_migrations, 0u);
-    ASSERT_GT(checked, 0u);
-    ASSERT_TRUE(captured);
-
-    par::ShardedDailyRun resumed(base, {.shards = 4, .threads = 1});
-    resumed.restore_snapshot(snapshot);
-    std::size_t foreign_rows = 0;
-    for (std::size_t k = 0; k < resumed.num_shards(); ++k) {
-      const par::Shard& shard = resumed.shard(k);
-      for (const auto& [vm, row] : shard.trace_driver().mapped_vms()) {
-        (void)vm;
-        if (resumed.plan().shard_of_trace(row) != k) ++foreign_rows;
       }
-    }
-    ASSERT_GT(foreign_rows, 0u) << "the snapshot holds no re-adopted rows";
-    checked = 0;
-    check_at_barriers(resumed);
-    resumed.run();
-    EXPECT_GT(checked, 0u);
+    };
+  };
 
-    std::remove(snapshot.c_str());
-    std::remove(config.run.checkpoint_out.c_str());
+  auto config = base;
+  config.run.checkpoint_out = temp_path(tag + "_oracle.ckpt");
+  config.run.checkpoint_every_s = 5400.0;  // one snapshot, mid-horizon
+  const std::string snapshot = temp_path(tag + "_oracle_mid.ckpt");
+  par::ShardedDailyRun run(config, {.shards = 4, .threads = 2});
+  check_at_barriers(run);
+  bool captured = false;
+  run.on_checkpoint = [&](const std::string& path) {
+    if (captured) return;
+    captured = true;
+    std::ofstream out(snapshot, std::ios::binary);
+    out << slurp(path);
+  };
+  run.run();
+  // Adoption only runs when VMs cross shards.
+  ASSERT_GT(run.stats().cross_shard_migrations, 0u);
+  ASSERT_GT(checked, 0u);
+  ASSERT_TRUE(captured);
+
+  par::ShardedDailyRun resumed(base, {.shards = 4, .threads = 1});
+  resumed.restore_snapshot(snapshot);
+  std::size_t foreign_rows = 0;
+  for (std::size_t k = 0; k < resumed.num_shards(); ++k) {
+    const par::Shard& shard = resumed.shard(k);
+    for (const auto& [vm, row] : shard.trace_driver().mapped_vms()) {
+      (void)vm;
+      if (resumed.plan().shard_of_trace(row) != k) ++foreign_rows;
+    }
   }
+  ASSERT_GT(foreign_rows, 0u) << "the snapshot holds no re-adopted rows";
+  checked = 0;
+  check_at_barriers(resumed);
+  resumed.run();
+  EXPECT_GT(checked, 0u);
+
+  std::remove(snapshot.c_str());
+  std::remove(config.run.checkpoint_out.c_str());
+}
+
+}  // namespace
+
+// The per-shard streaming banks of a K=4 run, fresh and restored, deliver
+// the demand of the materialized TraceSet row by row.
+TEST(ShardedDailyRun, StreamingBanksMatchMaterializedSharded) {
+  expect_rows_drive_their_own_demand(small_config(), "fault_free");
+}
+
+// The same oracle under crash/repair churn and aborted migrations.
+TEST(ShardedDailyRun, FaultedStreamingMatchesFaultedMaterialized) {
+  expect_rows_drive_their_own_demand(faulted_config(), "faulted");
+}
+
+TEST(ShardedDailyRun, StreamingSingleShardMatchesSingleThreadedStreaming) {
+  // The retired streaming_traces key still parses (the frozen perfbench
+  // planet config sets it) but selects nothing: a K=1 run that sets it
+  // replays the single-threaded run that does not, byte for byte.
+  const auto config = small_config();
+
+  scenario::DailyScenario reference(config);
+  metrics::EventLog reference_log;
+  reference_log.attach(*reference.ecocloud());
+  reference.run();
+
+  auto keyed = config;
+  keyed.streaming_traces = true;
+  par::ShardedDailyRun sharded(keyed, {.shards = 1, .threads = 1});
+  sharded.run();
+
+  std::ostringstream reference_csv;
+  reference_log.write_csv(reference_csv);
+  EXPECT_EQ(events_csv(sharded), reference_csv.str());
+  EXPECT_EQ(sharded.stats().energy_joules,
+            reference.datacenter().energy_joules());
+  expect_samples_identical(sharded.merged_samples(),
+                           reference.collector().samples());
 }
 
 TEST(ShardedDailyRun, StreamingCheckpointResumeReplaysExactly) {
