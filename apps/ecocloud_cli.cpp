@@ -13,14 +13,16 @@
 
 #include <unistd.h>
 
-#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -30,12 +32,8 @@
 
 #include "ecocloud/ckpt/auditor.hpp"
 #include "ecocloud/ckpt/checkpoint.hpp"
-#include "ecocloud/ckpt/snapshot_io.hpp"
 #include "ecocloud/ckpt/watchdog.hpp"
 #include "ecocloud/core/probability.hpp"
-#include "ecocloud/metrics/episode_summary.hpp"
-#include "ecocloud/metrics/event_log.hpp"
-#include "ecocloud/metrics/event_log_binary.hpp"
 #include "ecocloud/obs/chrome_trace.hpp"
 #include "ecocloud/obs/exporters.hpp"
 #include "ecocloud/obs/http_server.hpp"
@@ -48,6 +46,7 @@
 #include "ecocloud/par/sharded_telemetry.hpp"
 #include "ecocloud/scenario/config_io.hpp"
 #include "ecocloud/srv/server.hpp"
+#include "ecocloud/stats/quantile.hpp"
 #include "ecocloud/trace/planetlab_io.hpp"
 #include "ecocloud/util/csv.hpp"
 #include "ecocloud/util/exit_codes.hpp"
@@ -83,6 +82,30 @@ class Options {
     return value ? util::parse_double(*value) : fallback;
   }
 
+  static constexpr std::uint64_t kNoMax = std::numeric_limits<std::uint64_t>::max();
+
+  /// Integer flag in [min, max], written as plain decimal digits. Anything
+  /// else (a sign, a fraction, an exponent, NaN, overflow) is a
+  /// configuration error naming the flag. nullopt when the flag is absent.
+  [[nodiscard]] std::optional<std::uint64_t> get_uint(const std::string& key,
+                                                      std::uint64_t min,
+                                                      std::uint64_t max = kNoMax) {
+    const auto value = get(key);
+    if (!value) return std::nullopt;
+    std::uint64_t parsed = 0;
+    const char* last = value->data() + value->size();
+    const auto [end, error] = std::from_chars(value->data(), last, parsed);
+    if (error != std::errc{} || end != last || parsed < min || parsed > max) {
+      throw std::invalid_argument(
+          "--" + key + " wants an integer " +
+          (max == kNoMax ? ">= " + std::to_string(min)
+                         : "in [" + std::to_string(min) + ", " +
+                               std::to_string(max) + "]") +
+          ", got '" + *value + "'");
+    }
+    return parsed;
+  }
+
   void reject_unknown() const {
     for (const auto& [key, value] : values_) {
       if (used_.count(key) == 0) {
@@ -112,6 +135,14 @@ void require_writable(const std::string& path) {
   if (!existed) std::remove(path.c_str());
 }
 
+/// Create \p path and write it with \p fill.
+void write_output(const std::string& path,
+                  const std::function<void(std::ostream&)>& fill) {
+  std::ofstream out(path, std::ios::binary);
+  util::require(out.good(), "cannot open " + path);
+  fill(out);
+}
+
 /// Live observability plane shared by all run modes: --serve-metrics
 /// (embedded HTTP scrape endpoint), --profile-out (phase profiler +
 /// folded-stacks dump), --progress (stderr ticker). Everything here is a
@@ -120,12 +151,8 @@ void require_writable(const std::string& path) {
 class LivePlane {
  public:
   explicit LivePlane(Options& options) {
-    if (const auto port = options.get("serve-metrics")) {
-      const double p = util::parse_double(*port);
-      util::require(p >= 0.0 && p <= 65535.0 && p == std::floor(p),
-                    "--serve-metrics wants a TCP port (0..65535; 0 picks "
-                    "an ephemeral one)");
-      port_ = static_cast<std::uint16_t>(p);
+    if (const auto port = options.get_uint("serve-metrics", 0, 65535)) {
+      port_ = static_cast<std::uint16_t>(*port);
       serve_ = true;
     }
     profile_path_ = options.get("profile-out");
@@ -151,8 +178,8 @@ class LivePlane {
   [[nodiscard]] bool profiling() const { return profile_path_.has_value(); }
 
   /// Build the profiler (when profiling) and bind the HTTP server (when
-  /// serving). \p num_domains: 1 single-calendar, K+1 sharded. The
-  /// registry must outlive this object.
+  /// serving). \p num_domains: 1 for run-consolidation, K+1 for a daily
+  /// run. The registry must outlive this object.
   void start(obs::MetricRegistry& registry, std::size_t num_domains) {
     if (!any()) return;
     registry_ = &registry;
@@ -231,55 +258,119 @@ class LivePlane {
   obs::ProgressTracker tracker_;
 };
 
-/// Telemetry wiring shared by run-daily and run-consolidation. Flags are
-/// consumed up front; attach() subscribes before the run (so it chains
-/// behind any EventLog/collector already installed), finish() closes the
-/// trace spans and writes the requested output files.
+/// Telemetry output flags of run-daily and run-consolidation, parsed and
+/// probed (fail fast on unwritable paths) once.
+struct TelemetryFlags {
+  explicit TelemetryFlags(Options& options)
+      : metrics_path(options.get("metrics-out")),
+        json_path(options.get("metrics-json")),
+        trace_path(options.get("trace-out")),
+        log_path(options.get("log-out")) {
+    if (const auto value = options.get("log-level")) {
+      const auto parsed = obs::parse_log_level(*value);
+      util::require(parsed.has_value(),
+                    "bad --log-level '" + *value +
+                        "' (want trace|debug|info|warn|error|off)");
+      level = *parsed;
+    }
+    if (log_path && level == obs::LogLevel::kOff) level = obs::LogLevel::kInfo;
+    for (const auto& path : {metrics_path, json_path, trace_path, log_path}) {
+      if (path) require_writable(*path);
+    }
+  }
+
+  [[nodiscard]] bool any() const {
+    return metrics_path || json_path || trace_path || log_path ||
+           level != obs::LogLevel::kOff;
+  }
+
+  /// Write --metrics-out and --metrics-json from \p registry and
+  /// --trace-out through \p write_trace.
+  void write(const obs::MetricRegistry& registry,
+             const std::function<void(std::ostream&)>& write_trace) const {
+    if (metrics_path) {
+      write_output(*metrics_path, [&registry](std::ostream& out) {
+        obs::write_prometheus(registry, out);
+      });
+      std::printf("metrics written to %s (%zu series)\n", metrics_path->c_str(),
+                  registry.num_instances());
+    }
+    if (json_path) {
+      write_output(*json_path, [&registry](std::ostream& out) {
+        obs::write_json(registry, out);
+      });
+      std::printf("metrics JSON written to %s\n", json_path->c_str());
+    }
+    if (trace_path) {
+      write_output(*trace_path, write_trace);
+      std::printf("trace written to %s (open in ui.perfetto.dev)\n",
+                  trace_path->c_str());
+    }
+  }
+
+  std::optional<std::string> metrics_path;
+  std::optional<std::string> json_path;
+  std::optional<std::string> trace_path;
+  std::optional<std::string> log_path;
+  obs::LogLevel level = obs::LogLevel::kOff;
+};
+
+/// Run-control flags over the config file's [checkpoint] / [audit] /
+/// [watchdog] sections, for both run commands. Returns the --resume-from
+/// path. A resumed run keeps writing snapshots: to --checkpoint-out when
+/// given, otherwise back over the file it resumed from.
+std::optional<std::string> parse_run_control(Options& options,
+                                             scenario::RunControl& run) {
+  if (const auto v = options.get("checkpoint-out")) run.checkpoint_out = *v;
+  run.checkpoint_every_s =
+      options.get_double("checkpoint-every", run.checkpoint_every_s);
+  auto resume_path = options.get("resume-from");
+  run.audit_every_s = options.get_double("audit-every", run.audit_every_s);
+  if (const auto v = options.get("audit-action")) run.audit_action = *v;
+  run.watchdog_stall_s =
+      options.get_double("watchdog-stall", run.watchdog_stall_s);
+  if (!run.checkpoint_out.empty()) {
+    util::require(run.checkpoint_every_s > 0.0 || resume_path.has_value(),
+                  "--checkpoint-out needs --checkpoint-every SECONDS (> 0)");
+    require_writable(run.checkpoint_out);
+  } else if (resume_path) {
+    run.checkpoint_out = *resume_path;
+  }
+  return resume_path;
+}
+
+/// run-consolidation's telemetry wiring. Flags are consumed up front;
+/// attach() subscribes before the run (so it chains behind the collector
+/// already installed), finish() closes the trace spans and writes the
+/// requested output files.
 class CliTelemetry {
  public:
   explicit CliTelemetry(Options& options, LivePlane& live)
-      : live_(live),
-        metrics_path_(options.get("metrics-out")),
-        json_path_(options.get("metrics-json")),
-        trace_path_(options.get("trace-out")),
-        log_path_(options.get("log-out")) {
-    if (const auto level = options.get("log-level")) {
-      const auto parsed = obs::parse_log_level(*level);
-      util::require(parsed.has_value(),
-                    "bad --log-level '" + *level +
-                        "' (want trace|debug|info|warn|error|off)");
-      level_ = *parsed;
-    }
-    if (trace_path_) trace_.emplace();
-    if (log_path_) {
-      log_file_.open(*log_path_);
-      util::require(log_file_.good(), "cannot open " + *log_path_);
+      : live_(live), flags_(options) {
+    if (flags_.trace_path) trace_.emplace();
+    if (flags_.log_path) {
+      log_file_.open(*flags_.log_path);
+      util::require(log_file_.good(), "cannot open " + *flags_.log_path);
       logger_.set_sink(&log_file_);
-      if (level_ == obs::LogLevel::kOff) level_ = obs::LogLevel::kInfo;
-    } else if (level_ != obs::LogLevel::kOff) {
+    } else if (flags_.level != obs::LogLevel::kOff) {
       logger_.set_sink(&std::clog);
     }
-    logger_.set_level(level_);
+    logger_.set_level(flags_.level);
   }
 
-  [[nodiscard]] bool enabled() const {
-    return metrics_path_ || json_path_ || trace_path_ || log_path_ ||
-           level_ != obs::LogLevel::kOff || live_.any();
-  }
+  [[nodiscard]] bool enabled() const { return flags_.any() || live_.any(); }
 
   void attach(sim::Simulator& sim, const dc::DataCenter& datacenter,
-              core::EcoCloudController& controller,
-              const faults::FaultInjector* injector, bool resumed = false) {
+              core::EcoCloudController& controller, bool resumed) {
     if (!enabled()) return;
     logger_.set_clock([&sim] { return sim.now(); });
     instr_.emplace(registry_, logger_, trace_ ? &*trace_ : nullptr);
     instr_->attach_engine(sim);
     instr_->attach_datacenter(datacenter);
     instr_->attach_controller(controller);
-    if (injector != nullptr) instr_->attach_faults(*injector);
     live_.start(registry_, /*num_domains=*/1);
     if (live_.core() != nullptr) {
-      // Single-calendar runs execute on this thread; one domain covers it.
+      // The run executes on this thread; one domain covers it.
       util::set_current_domain(&live_.core()->domain(0));
     }
     if (live_.any()) {
@@ -315,41 +406,15 @@ class CliTelemetry {
     if (instr_) instr_->attach_robustness(std::move(sample));
   }
 
-  /// Fail fast on unwritable output paths (the log file is already open).
-  void probe_outputs() const {
-    for (const auto& path : {metrics_path_, json_path_, trace_path_}) {
-      if (path) require_writable(*path);
-    }
-  }
-
   void finish(sim::SimTime end) {
     if (!instr_) return;
     instr_->finalize(end);
     if (trace_ && live_.profiler() != nullptr) {
       live_.profiler()->emit_counter_track(*trace_, end);
     }
-    if (metrics_path_) {
-      std::ofstream out(*metrics_path_);
-      util::require(out.good(), "cannot open " + *metrics_path_);
-      obs::write_prometheus(registry_, out);
-      std::printf("metrics written to %s (%zu series)\n", metrics_path_->c_str(),
-                  registry_.num_instances());
-    }
-    if (json_path_) {
-      std::ofstream out(*json_path_);
-      util::require(out.good(), "cannot open " + *json_path_);
-      obs::write_json(registry_, out);
-      std::printf("metrics JSON written to %s\n", json_path_->c_str());
-    }
-    if (trace_path_) {
-      std::ofstream out(*trace_path_);
-      util::require(out.good(), "cannot open " + *trace_path_);
-      trace_->write(out);
-      std::printf("trace written to %s (%zu events; open in ui.perfetto.dev)\n",
-                  trace_path_->c_str(), trace_->size());
-    }
-    if (log_path_) {
-      std::printf("log written to %s (%llu lines)\n", log_path_->c_str(),
+    flags_.write(registry_, [this](std::ostream& out) { trace_->write(out); });
+    if (flags_.log_path) {
+      std::printf("log written to %s (%llu lines)\n", flags_.log_path->c_str(),
                   static_cast<unsigned long long>(logger_.lines_written()));
     }
   }
@@ -359,11 +424,7 @@ class CliTelemetry {
   static constexpr double kFlushPeriodS = 300.0;
 
   LivePlane& live_;
-  std::optional<std::string> metrics_path_;
-  std::optional<std::string> json_path_;
-  std::optional<std::string> trace_path_;
-  std::optional<std::string> log_path_;
-  obs::LogLevel level_ = obs::LogLevel::kOff;
+  TelemetryFlags flags_;
   obs::MetricRegistry registry_;
   obs::Logger logger_;
   std::optional<obs::ChromeTraceWriter> trace_;
@@ -371,44 +432,26 @@ class CliTelemetry {
   std::optional<obs::Instrumentation> instr_;
 };
 
-/// Checkpoint/audit/watchdog wiring shared by run-daily and
-/// run-consolidation. Flags override the config file's [checkpoint] /
-/// [audit] / [watchdog] sections; wire() builds the machinery against the
-/// constructed scenario and launch() either restores a snapshot or starts
-/// the periodic services.
+/// run-consolidation's checkpoint/audit/watchdog wiring: wire() builds
+/// the machinery against the constructed scenario and launch() either
+/// restores a snapshot or starts the periodic services.
 class Robustness {
  public:
   Robustness(Options& options, scenario::RunControl run) : run_(std::move(run)) {
-    if (const auto v = options.get("checkpoint-out")) run_.checkpoint_out = *v;
-    run_.checkpoint_every_s =
-        options.get_double("checkpoint-every", run_.checkpoint_every_s);
-    resume_path_ = options.get("resume-from");
-    run_.audit_every_s = options.get_double("audit-every", run_.audit_every_s);
-    if (const auto v = options.get("audit-action")) run_.audit_action = *v;
-    run_.watchdog_stall_s =
-        options.get_double("watchdog-stall", run_.watchdog_stall_s);
-    if (!run_.checkpoint_out.empty()) {
-      util::require(run_.checkpoint_every_s > 0.0 || resume_path_.has_value(),
-                    "--checkpoint-out needs --checkpoint-every SECONDS (> 0)");
-      require_writable(run_.checkpoint_out);
-    }
+    resume_path_ = parse_run_control(options, run_);
     util::require(run_.watchdog_stall_s <= 0.0 || run_.audit_every_s > 0.0,
                   "the watchdog is fed by the auditor's heartbeat: "
                   "--watchdog-stall needs --audit-every");
   }
 
   [[nodiscard]] bool resumed() const { return resume_path_.has_value(); }
-  [[nodiscard]] bool checkpointing() const {
-    return resumed() || !run_.checkpoint_out.empty();
-  }
 
   /// Build auditor, watchdog, and checkpoint manager. \p register_scenario
   /// registers the scenario's own sections/owners when checkpointing.
   template <typename RegisterFn>
   void wire(sim::Simulator& sim, dc::DataCenter& datacenter,
-            const core::EcoCloudController* controller,
-            const faults::RedeployQueue* redeploy, metrics::EventLog* event_log,
-            CliTelemetry& telemetry, RegisterFn register_scenario) {
+            const core::EcoCloudController& controller, CliTelemetry& telemetry,
+            RegisterFn register_scenario) {
     if (run_.watchdog_stall_s > 0.0) {
       watchdog_.emplace(ckpt::Watchdog::Config{run_.watchdog_stall_s, {}});
     }
@@ -419,19 +462,12 @@ class Robustness {
       audit.tolerance = run_.audit_tolerance;
       audit.strict_vm_accounting = run_.audit_strict;
       auditor_.emplace(sim, datacenter, audit);
-      if (controller != nullptr) auditor_->attach_controller(controller);
-      if (redeploy != nullptr) auditor_->attach_redeploy(redeploy);
+      auditor_->attach_controller(&controller);
       if (watchdog_) auditor_->set_watchdog(&*watchdog_);
     }
-    if (checkpointing()) {
+    if (!run_.checkpoint_out.empty()) {
       manager_.emplace(sim);
       register_scenario(*manager_);
-      if (event_log != nullptr) {
-        manager_->add_section(
-            "event_log",
-            [event_log](util::BinWriter& w) { event_log->save_state(w); },
-            [event_log](util::BinReader& r) { event_log->load_state(r); });
-      }
       if (auditor_) {
         manager_->add_section(
             "auditor", [this](util::BinWriter& w) { auditor_->save_state(w); },
@@ -468,15 +504,12 @@ class Robustness {
   bool launch(sim::Simulator& sim) {
     if (resumed()) {
       manager_->restore(*resume_path_);
-      // Keep writing snapshots: to --checkpoint-out when given, otherwise
-      // back over the file we resumed from (the campaign keeps advancing).
-      manager_->set_output_path(
-          !run_.checkpoint_out.empty() ? run_.checkpoint_out : *resume_path_);
+      manager_->set_output_path(run_.checkpoint_out);
       std::printf("resumed from %s at t=%.0f s (%llu events executed)\n",
                   resume_path_->c_str(), sim.now(),
                   static_cast<unsigned long long>(sim.executed_events()));
     } else {
-      if (manager_ && !run_.checkpoint_out.empty()) {
+      if (manager_) {
         manager_->start_periodic(run_.checkpoint_every_s, run_.checkpoint_out);
       }
       if (auditor_) auditor_->start();
@@ -534,11 +567,12 @@ int usage() {
       "                     file in ui.perfetto.dev)\n"
       "    --log-out F      structured JSONL log (default level info)\n"
       "    --log-level L    trace|debug|info|warn|error|off (stderr when no\n"
-      "                     --log-out is given)\n"
+      "                     --log-out is given, at exit for run-daily)\n"
       "    --checkpoint-out F   write crash-safe snapshots to F\n"
       "    --checkpoint-every S snapshot cadence in sim seconds\n"
       "    --resume-from F      restore a snapshot and finish the run\n"
-      "                         (bit-identical to the uninterrupted run)\n"
+      "                         (bit-identical to the uninterrupted run),\n"
+      "                         snapshotting to --checkpoint-out or F\n"
       "    --audit-every S      run the invariant auditor every S sim secs\n"
       "    --audit-action A     log | abort | heal on a failed audit\n"
       "    --watchdog-stall S   abort after S wall seconds without progress\n"
@@ -550,15 +584,15 @@ int usage() {
       "                     metrics outputs and a summary on stdout\n"
       "    --progress M     auto|on|off stderr progress ticker (auto = only\n"
       "                     when stderr is a TTY; at most one line/second)\n"
-      "    --shards K       sharded parallel engine: K independent shards,\n"
-      "                     deterministic output for fixed K regardless of\n"
-      "                     thread count; composes with checkpointing,\n"
-      "                     auditing, faults, and telemetry\n"
-      "    --threads N      worker threads for --shards (default: all cores)\n"
+      "    --shards K       split the fleet into K shards (default 1) that\n"
+      "                     run in parallel between epoch barriers; output\n"
+      "                     is deterministic for fixed K whatever the thread\n"
+      "                     count; rack topology needs K = 1\n"
+      "    --threads N      worker threads, at most K (default: all cores)\n"
       "    --sync-interval S  epoch barrier period in sim seconds (300)\n"
       "  run-consolidation  assignment-only experiment (paper Sec. IV)\n"
       "    --config FILE, --csv FILE, telemetry and robustness options as\n"
-      "    above\n"
+      "    above; --watchdog-stall needs --audit-every here\n"
       "  serve              campaign server: accept scenario submissions over\n"
       "                     HTTP and run them to completion (crash-tolerant;\n"
       "                     see DESIGN.md Sec. 16)\n"
@@ -587,17 +621,17 @@ int usage() {
 
 void write_series_csv(const std::string& path,
                       const std::vector<metrics::Sample>& samples) {
-  std::ofstream out(path);
-  util::require(out.good(), "cannot open " + path);
-  util::CsvWriter csv(out);
-  csv.header({"time_s", "active_servers", "booting", "overall_load", "power_w",
-              "overload_percent", "window_energy_j"});
-  for (const auto& s : samples) {
-    csv.row(std::vector<double>{s.time, static_cast<double>(s.active_servers),
-                                static_cast<double>(s.booting_servers),
-                                s.overall_load, s.power_w, s.overload_percent,
-                                s.window_energy_j});
-  }
+  write_output(path, [&samples](std::ostream& out) {
+    util::CsvWriter csv(out);
+    csv.header({"time_s", "active_servers", "booting", "overall_load",
+                "power_w", "overload_percent", "window_energy_j"});
+    for (const auto& s : samples) {
+      csv.row(std::vector<double>{s.time, static_cast<double>(s.active_servers),
+                                  static_cast<double>(s.booting_servers),
+                                  s.overall_load, s.power_w, s.overload_percent,
+                                  s.window_energy_j});
+    }
+  });
   std::printf("series written to %s (%zu samples)\n", path.c_str(),
               samples.size());
 }
@@ -613,55 +647,175 @@ auto load_config(Options& options, LoadFn load) {
   return load(empty);
 }
 
-int run_daily_sharded(Options& options, scenario::DailyConfig config,
-                      std::size_t shards) {
+/// The end-of-run report of a daily run, summed over the shards (K = 1
+/// prints exactly what the single engine would).
+void print_daily_summary(const par::ShardedDailyRun& run) {
+  const par::ParStats& s = run.stats();
+  double vm_seconds = 0.0;
+  double overload_vm_seconds = 0.0;
+  std::size_t max_inflight = 0;  // sum of per-shard peaks
+  std::size_t violations = 0;
+  std::size_t short_violations = 0;
+  std::uint64_t messages = 0, invitations = 0, interrupted = 0, aborted = 0,
+                boot_failures = 0, lost = 0;
+  for (std::size_t k = 0; k < run.num_shards(); ++k) {
+    const dc::DataCenter& d = run.shard(k).datacenter();
+    vm_seconds += d.vm_seconds();
+    overload_vm_seconds += d.overload_vm_seconds();
+    max_inflight += d.max_inflight_migrations();
+    for (const dc::OverloadEpisode& episode : d.overload_episodes()) {
+      ++violations;
+      if (episode.duration_s < 30.0) ++short_violations;
+    }
+    const core::EcoCloudController& eco = run.shard(k).controller();
+    messages += eco.messages().total();
+    invitations += eco.messages().invitations_sent;
+    interrupted += eco.interrupted_migrations();
+    aborted += eco.aborted_migrations();
+    boot_failures += eco.boot_failures();
+    lost += eco.messages().invitations_lost + eco.messages().replies_lost;
+  }
+  std::printf("energy            %.1f kWh\n", run.total_energy_kwh());
+  std::printf("migrations        %llu (%llu low / %llu high, %llu cross-shard), "
+              "max %zu in flight\n",
+              static_cast<unsigned long long>(s.migrations),
+              static_cast<unsigned long long>(s.low_migrations),
+              static_cast<unsigned long long>(s.high_migrations),
+              static_cast<unsigned long long>(s.cross_shard_migrations),
+              max_inflight);
+  std::printf("switches          %llu on / %llu off\n",
+              static_cast<unsigned long long>(s.activations),
+              static_cast<unsigned long long>(s.hibernations));
+  std::printf("over-demand       %.4f%% of VM-time; %zu violations, %.1f%% <30 s\n",
+              vm_seconds > 0.0 ? 100.0 * overload_vm_seconds / vm_seconds : 0.0,
+              violations,
+              violations > 0 ? 100.0 * (static_cast<double>(short_violations) /
+                                        static_cast<double>(violations))
+                             : 100.0);
+  std::printf("control plane     %llu messages (%llu invitations)\n",
+              static_cast<unsigned long long>(messages),
+              static_cast<unsigned long long>(invitations));
+  std::printf("engine            %llu events over %llu barriers; "
+              "%llu stranded wishes\n",
+              static_cast<unsigned long long>(s.executed_events),
+              static_cast<unsigned long long>(s.barriers),
+              static_cast<unsigned long long>(s.stranded_wishes));
+  if (run.shard(0).fault_injector() != nullptr) {
+    std::uint64_t crashes = 0, repairs = 0, orphans = 0, redeployed = 0,
+                  abandoned = 0;
+    double downtime = 0.0;
+    stats::QuantileSketch redeploy;
+    for (std::size_t k = 0; k < run.num_shards(); ++k) {
+      const auto& r = run.shard(k).fault_injector()->stats();
+      crashes += r.crashes();
+      repairs += r.repairs();
+      orphans += r.orphaned_vms();
+      redeployed += r.redeployed_vms();
+      abandoned += r.abandoned_vms();
+      downtime += r.downtime_vm_seconds();
+      redeploy.merge(r.redeploy_quantiles());
+    }
+    const double demanded = vm_seconds + downtime;
+    std::printf("faults            %llu crashes / %llu repairs; "
+                "%llu orphans (%llu redeployed, %llu abandoned)\n",
+                static_cast<unsigned long long>(crashes),
+                static_cast<unsigned long long>(repairs),
+                static_cast<unsigned long long>(orphans),
+                static_cast<unsigned long long>(redeployed),
+                static_cast<unsigned long long>(abandoned));
+    std::printf("                  %llu migrations interrupted, %llu aborted, "
+                "%llu boot failures; %llu messages lost\n",
+                static_cast<unsigned long long>(interrupted),
+                static_cast<unsigned long long>(aborted),
+                static_cast<unsigned long long>(boot_failures),
+                static_cast<unsigned long long>(lost));
+    std::printf("availability      %.6f%% (%.1f VM-min downtime, "
+                "median redeploy %.1f s)\n",
+                100.0 * (demanded > 0.0 ? vm_seconds / demanded : 1.0),
+                downtime / 60.0, redeployed > 0 ? redeploy.quantile(0.5) : 0.0);
+  }
+  if (s.audits_run > 0) {
+    std::printf("audits            %llu barrier rounds, %llu failed checks "
+                "(action=%s)\n",
+                static_cast<unsigned long long>(s.audits_run),
+                static_cast<unsigned long long>(s.audit_failures),
+                run.config().run.audit_action.c_str());
+  }
+  if (s.checkpoints_written > 0) {
+    std::printf("checkpoints       %llu written (last %llu bytes, %.1f ms)\n",
+                static_cast<unsigned long long>(s.checkpoints_written),
+                static_cast<unsigned long long>(s.snapshot_bytes_last),
+                1e3 * s.save_wall_seconds_last);
+  }
+}
+
+/// Hang the live plane off the barrier hook (chained AFTER the
+/// ShardedTelemetry flush so its counters are fresh when the snapshot is
+/// rendered): refresh per-shard epoch/lag gauges, then publish /metrics
+/// and /progress. No calendar events, no RNG — pure observer.
+void attach_live_plane(LivePlane& live, par::ShardedDailyRun& run,
+                       obs::MetricRegistry& registry) {
+  live.start(registry, run.num_shards() + 1);
+  run.set_profiler(live.core());
+  std::vector<obs::Gauge*> epoch_gauges;
+  std::vector<obs::Gauge*> lag_gauges;
+  for (std::size_t k = 0; k < run.num_shards(); ++k) {
+    const obs::Labels labels{{"shard", std::to_string(k)}};
+    epoch_gauges.push_back(
+        &registry.gauge("ecocloud_shard_epoch_wall_seconds", labels,
+                        "Wall seconds the shard spent on the last epoch"));
+    lag_gauges.push_back(&registry.gauge(
+        "ecocloud_shard_barrier_lag_seconds", labels,
+        "How long the shard waited for the slowest one at the last barrier"));
+  }
+  run.on_barrier = [&run, &live, epoch_gauges, lag_gauges,
+                    prev = std::move(run.on_barrier)](sim::SimTime t) {
+    if (prev) prev(t);
+    std::uint64_t events = 0;
+    std::vector<obs::ShardProgress> progress;
+    progress.reserve(run.num_shards());
+    for (std::size_t k = 0; k < run.num_shards(); ++k) {
+      obs::ShardProgress sp;
+      sp.shard = static_cast<int>(k);
+      sp.epoch_wall_s = run.last_epoch_wall_s()[k];
+      sp.barrier_lag_s = run.last_barrier_lag_s()[k];
+      sp.events = run.shard(k).simulator().executed_events();
+      events += sp.events;
+      epoch_gauges[k]->set(sp.epoch_wall_s);
+      lag_gauges[k]->set(sp.barrier_lag_s);
+      progress.push_back(sp);
+    }
+    live.set_shards(std::move(progress));
+    live.publish(t, events);
+  };
+  std::uint64_t start_events = 0;
+  for (std::size_t k = 0; k < run.num_shards(); ++k) {
+    start_events += run.shard(k).simulator().executed_events();
+  }
+  live.begin(run.shard(0).simulator().now(), run.config().horizon_s,
+             start_events);
+}
+
+int run_daily(Options& options) {
+  auto config = load_config(options, scenario::load_daily_config);
   const auto csv_path = options.get("csv");
   const auto events_path = options.get("events");
-
-  // Run-control flags override the config file's sections, exactly as the
-  // single-calendar Robustness wiring does. The one relaxation: no
-  // watchdog-needs-audit coupling, because the sharded coordinator beats
-  // the watchdog at every barrier whether or not audits are enabled.
-  if (const auto v = options.get("checkpoint-out")) config.run.checkpoint_out = *v;
-  config.run.checkpoint_every_s =
-      options.get_double("checkpoint-every", config.run.checkpoint_every_s);
-  const auto resume_path = options.get("resume-from");
-  config.run.audit_every_s =
-      options.get_double("audit-every", config.run.audit_every_s);
-  if (const auto v = options.get("audit-action")) config.run.audit_action = *v;
-  config.run.watchdog_stall_s =
-      options.get_double("watchdog-stall", config.run.watchdog_stall_s);
-  if (!config.run.checkpoint_out.empty()) {
-    util::require(
-        config.run.checkpoint_every_s > 0.0 || resume_path.has_value(),
-        "--checkpoint-out needs --checkpoint-every SECONDS (> 0)");
-    require_writable(config.run.checkpoint_out);
-  }
-
-  // Telemetry flags (same surface as the single-threaded runs; the merge
-  // back into one metrics/log/trace output happens after the run).
-  const auto metrics_path = options.get("metrics-out");
-  const auto json_path = options.get("metrics-json");
-  const auto trace_path = options.get("trace-out");
-  const auto log_path = options.get("log-out");
-  obs::LogLevel log_level = obs::LogLevel::kOff;
-  if (const auto level = options.get("log-level")) {
-    const auto parsed = obs::parse_log_level(*level);
-    util::require(parsed.has_value(),
-                  "bad --log-level '" + *level +
-                      "' (want trace|debug|info|warn|error|off)");
-    log_level = *parsed;
-  }
-  if (log_path && log_level == obs::LogLevel::kOff) {
-    log_level = obs::LogLevel::kInfo;
-  }
-
+  // No watchdog-needs-audit coupling here: the coordinator beats the
+  // watchdog at every barrier whether or not audits are enabled.
+  const auto resume_path = parse_run_control(options, config.run);
   par::ParConfig par;
-  par.shards = shards;
-  par.threads = static_cast<std::size_t>(options.get_double("threads", 0.0));
+  par.shards = options.get_uint("shards", 1).value_or(par.shards);
+  par.threads = options.get_uint("threads", 0).value_or(par.threads);
   par.sync_interval_s = options.get_double("sync-interval", par.sync_interval_s);
   util::require(par.sync_interval_s > 0.0,
                 "--sync-interval wants a positive number of sim seconds");
+  LivePlane live(options);
+  const TelemetryFlags telemetry_flags(options);
+  options.reject_unknown();
+  for (const auto& path : {csv_path, events_path}) {
+    if (path) require_writable(*path);
+  }
+
   if (par.sync_interval_s > config.horizon_s) {
     std::fprintf(stderr,
                  "warning: --sync-interval %.0f s exceeds the %.0f s horizon; "
@@ -675,311 +829,57 @@ int run_daily_sharded(Options& options, scenario::DailyConfig config,
                  "hand-off\n",
                  par.sync_interval_s);
   }
-  LivePlane live(options);
-  options.reject_unknown();
-  for (const auto& path :
-       {csv_path, events_path, metrics_path, json_path, trace_path, log_path}) {
-    if (path) require_writable(*path);
-  }
-
-  const std::size_t threads =
-      par.threads != 0
-          ? par.threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  par::ShardedDailyRun run(std::move(config), par);
   std::printf(
       "daily run: %zu servers, %zu VMs, %.0f h (+%.0f h warm-up), "
       "%zu shards on %zu threads\n",
-      config.fleet.num_servers, config.num_vms,
-      (config.horizon_s - config.warmup_s) / sim::kHour,
-      config.warmup_s / sim::kHour, par.shards, threads);
-
-  par::ShardedDailyRun run(std::move(config), par);
+      run.config().fleet.num_servers, run.config().num_vms,
+      (run.config().horizon_s - run.config().warmup_s) / sim::kHour,
+      run.config().warmup_s / sim::kHour, run.num_shards(), run.num_threads());
   if (resume_path) {
     run.restore_snapshot(*resume_path);
+    std::printf("resumed from %s at t=%.0f s\n", resume_path->c_str(),
+                run.shard(0).simulator().now());
   }
 
   std::optional<par::ShardedTelemetry> telemetry;
-  if (metrics_path || json_path || trace_path || log_path ||
-      log_level != obs::LogLevel::kOff || live.any()) {
-    par::ShardedTelemetry::Options topt;
-    topt.trace = trace_path.has_value();
-    topt.log_level = log_level;
-    telemetry.emplace(run, topt);
+  if (telemetry_flags.any() || live.any()) {
+    telemetry.emplace(run, par::ShardedTelemetry::Options{
+                               telemetry_flags.trace_path.has_value(),
+                               telemetry_flags.level});
   }
-  if (resume_path) {
-    std::printf("resumed from %s (sharded snapshot)\n", resume_path->c_str());
-  }
-
-  // The live plane hangs off the barrier hook (chained AFTER the
-  // ShardedTelemetry one so its counters are fresh when the snapshot is
-  // rendered): refresh per-shard epoch/lag gauges, then publish /metrics
-  // and /progress. No calendar events, no RNG — pure observer.
-  std::vector<obs::Gauge*> epoch_gauges;
-  std::vector<obs::Gauge*> lag_gauges;
-  if (live.any()) {
-    obs::MetricRegistry& registry = telemetry->registry();
-    live.start(registry, run.num_shards() + 1);
-    run.set_profiler(live.core());
-    for (std::size_t k = 0; k < run.num_shards(); ++k) {
-      const obs::Labels labels{{"shard", std::to_string(k)}};
-      epoch_gauges.push_back(
-          &registry.gauge("ecocloud_shard_epoch_wall_seconds", labels,
-                          "Wall seconds the shard spent on the last epoch"));
-      lag_gauges.push_back(&registry.gauge(
-          "ecocloud_shard_barrier_lag_seconds", labels,
-          "How long the shard waited for the slowest one at the last barrier"));
-    }
-    auto prev = std::move(run.on_barrier);
-    run.on_barrier = [&run, &live, &epoch_gauges, &lag_gauges,
-                      prev = std::move(prev)](sim::SimTime t) {
-      if (prev) prev(t);
-      std::uint64_t events = 0;
-      std::vector<obs::ShardProgress> progress;
-      progress.reserve(run.num_shards());
-      for (std::size_t k = 0; k < run.num_shards(); ++k) {
-        obs::ShardProgress sp;
-        sp.shard = static_cast<int>(k);
-        sp.epoch_wall_s = run.last_epoch_wall_s()[k];
-        sp.barrier_lag_s = run.last_barrier_lag_s()[k];
-        sp.events = run.shard(k).simulator().executed_events();
-        events += sp.events;
-        epoch_gauges[k]->set(sp.epoch_wall_s);
-        lag_gauges[k]->set(sp.barrier_lag_s);
-        progress.push_back(sp);
-      }
-      live.set_shards(std::move(progress));
-      live.publish(t, events);
-    };
-    std::uint64_t start_events = 0;
-    for (std::size_t k = 0; k < run.num_shards(); ++k) {
-      start_events += run.shard(k).simulator().executed_events();
-    }
-    live.begin(run.shard(0).simulator().now(), run.config().horizon_s,
-               start_events);
-  }
+  if (live.any()) attach_live_plane(live, run, telemetry->registry());
 
   run.run();
-  const par::ParStats& s = run.stats();
   const sim::SimTime horizon = run.config().horizon_s;
   if (telemetry) telemetry->finalize(horizon);
-  live.finish(horizon, s.executed_events);
+  live.finish(horizon, run.stats().executed_events);
+  print_daily_summary(run);
 
-  double vm_seconds = 0.0;
-  double overload_vm_seconds = 0.0;
-  for (std::size_t k = 0; k < run.num_shards(); ++k) {
-    vm_seconds += run.shard(k).datacenter().vm_seconds();
-    overload_vm_seconds += run.shard(k).datacenter().overload_vm_seconds();
-  }
-  std::printf("energy            %.1f kWh\n", run.total_energy_kwh());
-  std::printf("migrations        %llu (%llu low / %llu high, %llu cross-shard)\n",
-              static_cast<unsigned long long>(s.migrations),
-              static_cast<unsigned long long>(s.low_migrations),
-              static_cast<unsigned long long>(s.high_migrations),
-              static_cast<unsigned long long>(s.cross_shard_migrations));
-  std::printf("switches          %llu on / %llu off\n",
-              static_cast<unsigned long long>(s.activations),
-              static_cast<unsigned long long>(s.hibernations));
-  std::printf("over-demand       %.4f%% of VM-time\n",
-              vm_seconds > 0.0 ? 100.0 * overload_vm_seconds / vm_seconds
-                               : 0.0);
-  std::printf("engine            %llu events over %llu barriers; "
-              "%llu stranded wishes\n",
-              static_cast<unsigned long long>(s.executed_events),
-              static_cast<unsigned long long>(s.barriers),
-              static_cast<unsigned long long>(s.stranded_wishes));
-  if (run.shard(0).fault_injector() != nullptr) {
-    std::uint64_t crashes = 0, repairs = 0, orphans = 0, redeployed = 0,
-                  abandoned = 0;
-    double downtime = 0.0;
-    for (std::size_t k = 0; k < run.num_shards(); ++k) {
-      const auto& r = run.shard(k).fault_injector()->stats();
-      crashes += r.crashes();
-      repairs += r.repairs();
-      orphans += r.orphaned_vms();
-      redeployed += r.redeployed_vms();
-      abandoned += r.abandoned_vms();
-      downtime += r.downtime_vm_seconds();
-    }
-    std::printf("faults            %llu crashes / %llu repairs; "
-                "%llu orphans (%llu redeployed, %llu abandoned); "
-                "%.1f VM-min downtime\n",
-                static_cast<unsigned long long>(crashes),
-                static_cast<unsigned long long>(repairs),
-                static_cast<unsigned long long>(orphans),
-                static_cast<unsigned long long>(redeployed),
-                static_cast<unsigned long long>(abandoned), downtime / 60.0);
-  }
-  if (s.audits_run > 0) {
-    std::printf("audits            %llu barrier rounds, %llu failed checks "
-                "(action=%s)\n",
-                static_cast<unsigned long long>(s.audits_run),
-                static_cast<unsigned long long>(s.audit_failures),
-                run.config().run.audit_action.c_str());
-  }
-  if (s.checkpoints_written > 0) {
-    std::printf("checkpoints       %llu written\n",
-                static_cast<unsigned long long>(s.checkpoints_written));
-  }
   if (csv_path) write_series_csv(*csv_path, run.merged_samples());
   if (events_path) {
     const bool as_csv = events_path_wants_csv(*events_path);
-    std::ofstream out(*events_path,
-                      as_csv ? std::ios::out : std::ios::out | std::ios::binary);
-    util::require(out.good(), "cannot open " + *events_path);
-    if (as_csv) {
-      run.write_events_csv(out);
-    } else {
-      run.write_events_binary(out);
-    }
-    std::printf("event log written to %s%s\n", events_path->c_str(),
-                as_csv ? "" : " (binary; convert with eventlog2csv)");
+    std::size_t rows = 0;
+    write_output(*events_path, [&](std::ostream& out) {
+      rows = as_csv ? run.write_events_csv(out) : run.write_events_binary(out);
+    });
+    std::printf("event log written to %s (%zu events%s)\n", events_path->c_str(),
+                rows, as_csv ? "" : "; binary, convert with eventlog2csv");
   }
   if (telemetry) {
-    if (metrics_path) {
-      std::ofstream out(*metrics_path);
-      util::require(out.good(), "cannot open " + *metrics_path);
-      obs::write_prometheus(telemetry->registry(), out);
-      std::printf("metrics written to %s (%zu series)\n", metrics_path->c_str(),
-                  telemetry->registry().num_instances());
-    }
-    if (json_path) {
-      std::ofstream out(*json_path);
-      util::require(out.good(), "cannot open " + *json_path);
-      obs::write_json(telemetry->registry(), out);
-      std::printf("metrics JSON written to %s\n", json_path->c_str());
-    }
-    if (trace_path) {
-      std::ofstream out(*trace_path);
-      util::require(out.good(), "cannot open " + *trace_path);
+    telemetry_flags.write(telemetry->registry(), [&telemetry](std::ostream& out) {
       telemetry->write_trace(out);
-      std::printf("trace written to %s (open in ui.perfetto.dev)\n",
-                  trace_path->c_str());
-    }
-    if (log_path) {
-      std::ofstream out(*log_path);
-      util::require(out.good(), "cannot open " + *log_path);
-      telemetry->write_log(out);
-      std::printf("log written to %s (%llu lines, shard-merged)\n",
-                  log_path->c_str(),
+    });
+    if (telemetry_flags.log_path) {
+      write_output(*telemetry_flags.log_path, [&telemetry](std::ostream& out) {
+        telemetry->write_log(out);
+      });
+      std::printf("log written to %s (%llu lines)\n",
+                  telemetry_flags.log_path->c_str(),
                   static_cast<unsigned long long>(telemetry->log_lines()));
-    } else if (log_level != obs::LogLevel::kOff) {
+    } else if (telemetry_flags.level != obs::LogLevel::kOff) {
       telemetry->write_log(std::clog);
     }
-  }
-  return 0;
-}
-
-int run_daily(Options& options) {
-  auto config = load_config(options, scenario::load_daily_config);
-  if (const auto shards = options.get("shards")) {
-    const auto k = util::parse_double(*shards);
-    util::require(k >= 1.0 && k == static_cast<double>(static_cast<std::size_t>(k)),
-                  "--shards wants a positive integer");
-    return run_daily_sharded(options, std::move(config),
-                             static_cast<std::size_t>(k));
-  }
-  const auto csv_path = options.get("csv");
-  const auto events_path = options.get("events");
-  LivePlane live(options);
-  Robustness robustness(options, config.run);
-  CliTelemetry telemetry(options, live);
-  options.reject_unknown();
-
-  for (const auto& path : {csv_path, events_path}) {
-    if (path) require_writable(*path);
-  }
-  telemetry.probe_outputs();
-
-  std::printf("daily run: %zu servers, %zu VMs, %.0f h (+%.0f h warm-up)\n",
-              config.fleet.num_servers, config.num_vms,
-              (config.horizon_s - config.warmup_s) / sim::kHour,
-              config.warmup_s / sim::kHour);
-  scenario::DailyScenario daily(config);
-  metrics::EventLog event_log;
-  if (events_path) event_log.attach(*daily.ecocloud());
-  if (daily.ecocloud() != nullptr) {
-    telemetry.attach(daily.simulator(), daily.datacenter(), *daily.ecocloud(),
-                     daily.fault_injector(), robustness.resumed());
-  }
-  auto* injector = daily.fault_injector();
-  robustness.wire(daily.simulator(), daily.datacenter(), daily.ecocloud(),
-                  injector != nullptr ? &injector->redeploy() : nullptr,
-                  events_path ? &event_log : nullptr, telemetry,
-                  [&daily](ckpt::CheckpointManager& manager) {
-                    daily.register_checkpoint(manager);
-                  });
-  const bool resumed_run = robustness.launch(daily.simulator());
-  live.begin(daily.simulator().now(), config.horizon_s,
-             daily.simulator().executed_events());
-  if (resumed_run) {
-    daily.run_resumed();
-  } else {
-    daily.run();
-  }
-  robustness.finish();
-  live.finish(daily.simulator().now(), daily.simulator().executed_events());
-  telemetry.finish(daily.simulator().now());
-
-  const auto& d = daily.datacenter();
-  const auto episodes = metrics::summarize_episodes(d.overload_episodes());
-  std::printf("energy            %.1f kWh\n", d.energy_joules() / 3.6e6);
-  std::printf("migrations        %llu (%llu low / %llu high), max %zu in flight\n",
-              static_cast<unsigned long long>(d.total_migrations()),
-              static_cast<unsigned long long>(daily.ecocloud()->low_migrations()),
-              static_cast<unsigned long long>(daily.ecocloud()->high_migrations()),
-              d.max_inflight_migrations());
-  std::printf("switches          %llu on / %llu off\n",
-              static_cast<unsigned long long>(d.total_activations()),
-              static_cast<unsigned long long>(d.total_hibernations()));
-  std::printf("over-demand       %.4f%% of VM-time; %zu violations, %.1f%% <30 s\n",
-              d.vm_seconds() > 0.0
-                  ? 100.0 * d.overload_vm_seconds() / d.vm_seconds()
-                  : 0.0,
-              episodes.count, 100.0 * episodes.fraction_under_30s);
-  std::printf("control plane     %llu messages (%llu invitations)\n",
-              static_cast<unsigned long long>(daily.ecocloud()->messages().total()),
-              static_cast<unsigned long long>(
-                  daily.ecocloud()->messages().invitations_sent));
-  if (const auto* injector = daily.fault_injector()) {
-    const auto& r = injector->stats();
-    std::printf("faults            %llu crashes / %llu repairs; "
-                "%llu orphans (%llu redeployed, %llu abandoned)\n",
-                static_cast<unsigned long long>(r.crashes()),
-                static_cast<unsigned long long>(r.repairs()),
-                static_cast<unsigned long long>(r.orphaned_vms()),
-                static_cast<unsigned long long>(r.redeployed_vms()),
-                static_cast<unsigned long long>(r.abandoned_vms()));
-    std::printf("                  %llu migrations interrupted, %llu aborted, "
-                "%llu boot failures; %llu messages lost\n",
-                static_cast<unsigned long long>(
-                    daily.ecocloud()->interrupted_migrations()),
-                static_cast<unsigned long long>(
-                    daily.ecocloud()->aborted_migrations()),
-                static_cast<unsigned long long>(daily.ecocloud()->boot_failures()),
-                static_cast<unsigned long long>(
-                    daily.ecocloud()->messages().invitations_lost +
-                    daily.ecocloud()->messages().replies_lost));
-    std::printf("availability      %.6f%% (%.1f VM-min downtime, "
-                "median redeploy %.1f s)\n",
-                100.0 * injector->availability(),
-                r.downtime_vm_seconds() / 60.0,
-                r.redeployed_vms() > 0 ? r.redeploy_quantiles().quantile(0.5)
-                                       : 0.0);
-  }
-  if (csv_path) write_series_csv(*csv_path, daily.collector().samples());
-  if (events_path) {
-    const bool as_csv = events_path_wants_csv(*events_path);
-    std::ofstream out(*events_path,
-                      as_csv ? std::ios::out : std::ios::out | std::ios::binary);
-    util::require(out.good(), "cannot open " + *events_path);
-    if (as_csv) {
-      event_log.write_csv(out);
-    } else {
-      metrics::write_binary_events(out, event_log.events());
-    }
-    std::printf("event log written to %s (%zu events%s)\n", events_path->c_str(),
-                event_log.size(),
-                as_csv ? "" : "; binary, convert with eventlog2csv");
   }
   return 0;
 }
@@ -991,19 +891,16 @@ int run_consolidation(Options& options) {
   Robustness robustness(options, config.run);
   CliTelemetry telemetry(options, live);
   options.reject_unknown();
-
   if (csv_path) require_writable(*csv_path);
-  telemetry.probe_outputs();
 
   std::printf("consolidation run: %zu servers, %zu initial VMs, %.0f h\n",
               config.num_servers, config.initial_vms,
               config.horizon_s / sim::kHour);
   scenario::ConsolidationScenario cons(config);
   telemetry.attach(cons.simulator(), cons.datacenter(), cons.controller(),
-                   /*injector=*/nullptr, robustness.resumed());
-  robustness.wire(cons.simulator(), cons.datacenter(), &cons.controller(),
-                  /*redeploy=*/nullptr, /*event_log=*/nullptr, telemetry,
-                  [&cons](ckpt::CheckpointManager& manager) {
+                   robustness.resumed());
+  robustness.wire(cons.simulator(), cons.datacenter(), cons.controller(),
+                  telemetry, [&cons](ckpt::CheckpointManager& manager) {
                     cons.register_checkpoint(manager);
                   });
   const bool resumed_run = robustness.launch(cons.simulator());
@@ -1033,8 +930,12 @@ int gen_traces(Options& options) {
   const auto out_dir = options.get("out");
   util::require(out_dir.has_value(), "gen-traces requires --out DIR");
   const double hours = options.get_double("hours", 48.0);
-  const auto vms = static_cast<std::size_t>(options.get_double("vms", 6000.0));
-  const auto seed = static_cast<std::uint64_t>(options.get_double("seed", 1.0));
+  util::require(std::isfinite(hours) && hours > 0.0 &&
+                    hours * 3600.0 / 300.0 <= scenario::kMaxTraceSteps,
+                "--hours wants a finite number of hours > 0 (at most 2^32 "
+                "five-minute steps)");
+  const std::size_t vms = options.get_uint("vms", 1).value_or(6000);
+  const std::uint64_t seed = options.get_uint("seed", 0).value_or(1);
   options.reject_unknown();
 
   trace::WorkloadModel model;
@@ -1077,29 +978,22 @@ void serve_signal_handler(int) { g_serve_stop = 1; }
 
 int serve(Options& options) {
   srv::ServerConfig config;
-  const double port = options.get_double("port", 0.0);
-  util::require(port >= 0.0 && port <= 65535.0 && port == std::floor(port),
-                "--port wants a TCP port (0..65535; 0 picks an ephemeral one)");
-  config.port = static_cast<std::uint16_t>(port);
-  const double workers = options.get_double("workers", 2.0);
-  util::require(workers >= 1.0 && workers == std::floor(workers),
-                "--workers wants a positive integer");
-  config.workers = static_cast<std::size_t>(workers);
-  const double capacity = options.get_double("queue-capacity", 8.0);
-  util::require(capacity >= 1.0 && capacity == std::floor(capacity),
-                "--queue-capacity wants a positive integer");
-  config.queue_capacity = static_cast<std::size_t>(capacity);
+  config.port = static_cast<std::uint16_t>(
+      options.get_uint("port", 0, 65535).value_or(config.port));
+  config.workers = options.get_uint("workers", 1).value_or(config.workers);
+  config.queue_capacity =
+      options.get_uint("queue-capacity", 1).value_or(config.queue_capacity);
   if (const auto dir = options.get("data-dir")) config.data_dir = *dir;
   config.slice_s = options.get_double("slice", config.slice_s);
   util::require(config.slice_s > 0.0,
                 "--slice wants a positive number of sim seconds");
-  config.checkpoint_every_slices = static_cast<std::size_t>(options.get_double(
-      "checkpoint-every-slices",
-      static_cast<double>(config.checkpoint_every_slices)));
+  config.checkpoint_every_slices =
+      options.get_uint("checkpoint-every-slices", 0)
+          .value_or(config.checkpoint_every_slices);
   config.rss_high_mb = options.get_double("rss-high-mb", 0.0);
   config.rss_low_mb = options.get_double("rss-low-mb", 0.0);
-  config.retry_after_s =
-      static_cast<int>(options.get_double("retry-after", 5.0));
+  config.retry_after_s = static_cast<int>(
+      options.get_uint("retry-after", 0, INT_MAX).value_or(config.retry_after_s));
   options.reject_unknown();
 
   srv::CampaignServer server(std::move(config));

@@ -82,6 +82,28 @@ sim::EngineCheckpoint load_engine(util::BinReader& r) {
 
 }  // namespace
 
+void add_config_digest(Snapshot& snapshot, const std::string& digest) {
+  util::BinWriter w;
+  w.str(digest);
+  snapshot.add(kMetaSection, w.take());
+}
+
+void require_config_digest(const Snapshot& snapshot, const std::string& digest,
+                           const std::string& path) {
+  const SnapshotSection* meta = snapshot.find(kMetaSection);
+  if (meta == nullptr) {
+    throw SnapshotError("snapshot: '" + path + "' has no meta section");
+  }
+  util::BinReader r(meta->payload);
+  const std::string stored = r.str();
+  r.expect_exhausted(kMetaSection);
+  if (stored != digest) {
+    throw SnapshotError("snapshot: '" + path +
+                        "' was written for a different configuration\n  stored:  " +
+                        stored + "\n  current: " + digest);
+  }
+}
+
 CheckpointManager::CheckpointManager(sim::Simulator& simulator) : sim_(simulator) {
   // The manager owns its own periodic event's rebuild.
   add_owner(sim::tag_owner::kCheckpoint,
@@ -140,11 +162,7 @@ void CheckpointManager::save(const std::string& path) {
   const auto t0 = std::chrono::steady_clock::now();
 
   Snapshot snapshot;
-  {
-    util::BinWriter w;
-    w.str(digest_);
-    snapshot.add(kMetaSection, w.take());
-  }
+  add_config_digest(snapshot, digest_);
   collect(snapshot, "");
   write_snapshot_file(snapshot, path);
 
@@ -211,21 +229,7 @@ void CheckpointManager::restore_from(const Snapshot& snapshot,
 
 void CheckpointManager::restore(const std::string& path) {
   const Snapshot snapshot = read_snapshot_file(path);
-
-  const SnapshotSection* meta = snapshot.find(kMetaSection);
-  if (meta == nullptr) {
-    throw SnapshotError("snapshot: '" + path + "' has no meta section");
-  }
-  {
-    util::BinReader r(meta->payload);
-    const std::string stored = r.str();
-    r.expect_exhausted(kMetaSection);
-    if (stored != digest_) {
-      throw SnapshotError("snapshot: '" + path +
-                          "' was written for a different configuration\n  stored:  " +
-                          stored + "\n  current: " + digest_);
-    }
-  }
+  require_config_digest(snapshot, digest_, path);
 
   // Every non-registered section except the engine is a mismatch between
   // the writing and restoring wiring — refuse rather than silently drop

@@ -44,6 +44,14 @@ namespace ecocloud::ckpt {
 
 struct Snapshot;
 
+/// Store \p digest as \p snapshot's "meta" section (add it first).
+void add_config_digest(Snapshot& snapshot, const std::string& digest);
+
+/// Throw SnapshotError, naming \p path, unless \p snapshot's meta section
+/// holds exactly \p digest.
+void require_config_digest(const Snapshot& snapshot, const std::string& digest,
+                           const std::string& path);
+
 class CheckpointManager {
  public:
   /// Snapshot-stable event kinds (tag_owner::kCheckpoint). Append only.

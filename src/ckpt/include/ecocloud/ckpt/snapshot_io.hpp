@@ -42,7 +42,9 @@ class SnapshotError : public std::runtime_error {
 /// File format constants. Bump kFormatVersion on any layout change; old
 /// versions are rejected, never reinterpreted.
 inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'O', 'C', 'K', 'P', 'T', '1'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Version 2: the sharded coordinator section stores the checkpoint
+/// cadence, and a shard's event log follows its fault sections.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Identifies everything the byte layout silently depends on. Snapshots
 /// only restore into a process with an identical tag.

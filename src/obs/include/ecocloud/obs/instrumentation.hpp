@@ -99,7 +99,8 @@ class Instrumentation {
   void attach_faults(const faults::FaultInjector& injector);
 
   /// Register pull-mode metrics over the checkpoint/audit machinery.
-  /// \p sample is polled when an exporter reads the registry.
+  /// \p sample is polled when an exporter reads the registry. The series
+  /// describe the whole run, so they never carry a shard label.
   void attach_robustness(std::function<RobustnessSample()> sample);
 
   /// Schedule a periodic sim-time hook that flushes the logger and, when

@@ -525,25 +525,25 @@ void Instrumentation::attach_robustness(std::function<RobustnessSample()> sample
       std::make_shared<std::function<RobustnessSample()>>(std::move(sample));
   registry_.counter_fn(
       "ecocloud_checkpoints_written_total",
-      [poll] { return (*poll)().checkpoints_written; }, labels({}),
+      [poll] { return (*poll)().checkpoints_written; }, {},
       "Crash-safe snapshots written");
   registry_.gauge_fn(
       "ecocloud_checkpoint_bytes_last",
       [poll] { return static_cast<double>((*poll)().snapshot_bytes_last); },
-      labels({}), "Payload size of the most recent snapshot");
+      {}, "Payload size of the most recent snapshot");
   registry_.gauge_fn(
       "ecocloud_checkpoint_save_seconds_total",
-      [poll] { return (*poll)().save_wall_seconds_total; }, labels({}),
+      [poll] { return (*poll)().save_wall_seconds_total; }, {},
       "Wall-clock time spent writing snapshots");
   registry_.counter_fn(
       "ecocloud_audits_run_total", [poll] { return (*poll)().audits_run; },
-      labels({}), "Invariant audits executed");
+      {}, "Invariant audits executed");
   registry_.counter_fn(
       "ecocloud_audits_failed_total", [poll] { return (*poll)().audits_failed; },
-      labels({}), "Invariant audits that found at least one violation");
+      {}, "Invariant audits that found at least one violation");
   registry_.counter_fn(
       "ecocloud_audit_heals_total", [poll] { return (*poll)().heals_applied; },
-      labels({}), "Cache-rebuild heal actions applied by the auditor");
+      {}, "Cache-rebuild heal actions applied by the auditor");
 }
 
 void Instrumentation::start_flush(sim::Simulator& simulator,

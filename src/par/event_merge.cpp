@@ -6,13 +6,8 @@
 
 namespace ecocloud::par {
 
-std::vector<metrics::Event> merge_event_streams(
-    const std::vector<EventStream>& streams) {
-  std::size_t total = 0;
-  for (const EventStream& stream : streams) total += stream.events->size();
-
-  std::vector<metrics::Event> merged;
-  merged.reserve(total);
+void merge_event_streams(const std::vector<EventStream>& streams,
+                         const EventSink& sink) {
   std::vector<std::size_t> pos(streams.size(), 0);
   for (;;) {
     std::size_t best = streams.size();
@@ -29,11 +24,9 @@ std::vector<metrics::Event> merge_event_streams(
     }
     if (best == streams.size()) break;
     const metrics::Event& raw = (*streams[best].events)[pos[best]];
-    merged.push_back(streams[best].translate ? streams[best].translate(raw)
-                                             : raw);
+    sink(streams[best].translate ? streams[best].translate(raw) : raw);
     ++pos[best];
   }
-  return merged;
 }
 
 void write_merged_events_csv(std::ostream& out,

@@ -27,11 +27,15 @@ struct EventStream {
   std::function<metrics::Event(const metrics::Event&)> translate;
 };
 
-/// Stable merge of the streams by (time, stream index). Every input must
-/// be internally time-ordered; the output applies each stream's
-/// translation callback.
-[[nodiscard]] std::vector<metrics::Event> merge_event_streams(
-    const std::vector<EventStream>& streams);
+/// Receives the merged rows one at a time, in output order.
+using EventSink = std::function<void(const metrics::Event&)>;
+
+/// Stable merge of the streams by (time, stream index), handing each row
+/// to \p sink after its stream's translation callback. Every input must be
+/// internally time-ordered. Nothing is buffered, so a sink that writes
+/// straight to a file keeps the merge at O(K) extra memory.
+void merge_event_streams(const std::vector<EventStream>& streams,
+                         const EventSink& sink);
 
 /// Write \p events in metrics::EventLog::write_csv's exact row format
 /// (header, precision, -1 sentinels) so K=1 reproduces its bytes.

@@ -30,6 +30,7 @@
 #include "ecocloud/faults/fault_injector.hpp"
 #include "ecocloud/metrics/collector.hpp"
 #include "ecocloud/metrics/event_log.hpp"
+#include "ecocloud/net/topology.hpp"
 #include "ecocloud/par/partition.hpp"
 #include "ecocloud/scenario/scenario.hpp"
 #include "ecocloud/sim/simulator.hpp"
@@ -100,9 +101,9 @@ class Shard {
   void load_state(util::BinReader& r);
 
   /// Register every stateful component of this shard (sections and
-  /// calendar-event owners) with \p manager — the per-shard mirror of
-  /// DailyScenario::register_checkpoint plus the shard coordination
-  /// section and the event-log segment.
+  /// calendar-event owners) with \p manager: the shard coordination
+  /// section, scenario::register_daily_checkpoint, and the event-log
+  /// segment.
   void register_checkpoint(ckpt::CheckpointManager& manager);
 
   // --- Coordinator surface (serial, between epochs) ---
@@ -167,6 +168,7 @@ class Shard {
   trace::StreamingTraces bank_;
 
   sim::Simulator sim_;
+  std::unique_ptr<net::Topology> topology_;
   std::unique_ptr<dc::DataCenter> dc_;
   std::unique_ptr<core::TraceDriver> trace_driver_;
   std::unique_ptr<core::EcoCloudController> eco_;

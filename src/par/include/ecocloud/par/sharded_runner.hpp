@@ -8,8 +8,10 @@
 ///  * the horizon is cut into epochs of sync_interval_s (aligned so the
 ///    warmup boundary and the horizon are barrier times);
 ///  * within an epoch every shard advances its own calendar independently
-///    — a ThreadPool runs them concurrently, but nothing they touch is
-///    shared, so any interleaving computes the same states;
+///    — a ThreadPool of min(threads, K) workers runs them concurrently
+///    (one worker: no pool, the calling thread runs them in order), but
+///    nothing they touch is shared, so any interleaving computes the same
+///    states;
 ///  * at the barrier the coordinator runs SERIALLY, in shard order: it
 ///    drains each shard's migration wishes (trials that fired with no
 ///    local destination) and re-runs the destination search over the
@@ -30,6 +32,7 @@
 
 #include "ecocloud/metrics/collector.hpp"
 #include "ecocloud/metrics/event_log.hpp"
+#include "ecocloud/par/event_merge.hpp"
 #include "ecocloud/par/partition.hpp"
 #include "ecocloud/par/shard.hpp"
 #include "ecocloud/scenario/scenario.hpp"
@@ -48,7 +51,8 @@ struct ParConfig {
   /// Number of shards K. Fixed K fixes the trajectory; the thread count
   /// only changes wall-clock time.
   std::size_t shards = 1;
-  /// Worker threads (0 -> hardware concurrency).
+  /// Worker threads (0 -> hardware concurrency), capped at the shard
+  /// count.
   std::size_t threads = 0;
   /// Epoch length between barriers. The default matches the 5-minute
   /// trace tick: cross-shard relief then reacts on the same timescale as
@@ -78,16 +82,20 @@ struct ParStats {
   std::uint64_t barriers = 0;
   std::uint64_t audits_run = 0;       ///< barrier audit rounds
   std::uint64_t audit_failures = 0;   ///< failed checks across all rounds
+  std::uint64_t audit_heals = 0;      ///< heal actions across all shards
   std::uint64_t checkpoints_written = 0;
+  std::uint64_t snapshot_bytes_last = 0;  ///< section payloads, last snapshot
+  double save_wall_seconds_last = 0.0;
+  double save_wall_seconds_total = 0.0;
   double energy_joules = 0.0;
 };
 
 class ShardedDailyRun {
  public:
   /// Builds the K shards. Rejects the one config the sharded engine does
-  /// not support: rack topology (invitations would need cross-shard rack
-  /// scoping). Faults, checkpointing, auditing, the watchdog, and
-  /// telemetry all compose with sharding.
+  /// not support: rack topology with K > 1 (invitations would need
+  /// cross-shard rack scoping). Faults, checkpointing, auditing, the
+  /// watchdog, and telemetry all compose with sharding.
   ShardedDailyRun(scenario::DailyConfig config, ParConfig par);
   ~ShardedDailyRun();
 
@@ -95,8 +103,9 @@ class ShardedDailyRun {
   ShardedDailyRun& operator=(const ShardedDailyRun&) = delete;
 
   /// Deploy all VMs at t=0 (skipped on a resumed run) and simulate to the
-  /// horizon, honoring config.run: barrier-aligned checkpoints, audits,
-  /// and watchdog beats. Call once.
+  /// horizon, honoring config.run: barrier-aligned checkpoints (written to
+  /// config.run.checkpoint_out only), audits, and watchdog beats. Call
+  /// once.
   void run();
 
   /// Write one atomic snapshot of the whole sharded run (coordinator
@@ -110,7 +119,9 @@ class ShardedDailyRun {
   /// constructed run (same config, same K, same sync interval — enforced
   /// via the stored digest; the thread count is free). run() then
   /// continues from the snapshot's barrier and produces byte-identical
-  /// output to the uninterrupted run.
+  /// output to the uninterrupted run. The snapshot also carries the
+  /// writing run's checkpoint cadence, which the resumed run keeps unless
+  /// config.run.checkpoint_every_s sets a new one.
   void restore_snapshot(const std::string& path);
 
   [[nodiscard]] bool resumed() const { return resumed_; }
@@ -154,17 +165,20 @@ class ShardedDailyRun {
 
   /// Decision event log stitched across shards in (time, shard) order with
   /// ids translated to global: byte-identical to EventLog::write_csv
-  /// format, and to the single-threaded log when K=1.
-  void write_events_csv(std::ostream& out) const;
+  /// format, and to the single-threaded log when K=1. Returns the rows
+  /// written.
+  std::size_t write_events_csv(std::ostream& out) const;
 
-  /// The stitched global event rows behind write_events_csv.
-  [[nodiscard]] std::vector<metrics::Event> merged_events() const;
-
-  /// merged_events() in the compact binary format (event_log_binary.hpp);
-  /// eventlog2csv converts it back to write_events_csv's exact bytes.
-  void write_events_binary(std::ostream& out) const;
+  /// The same rows in the compact binary format (event_log_binary.hpp),
+  /// streamed from the merge without a stitched copy; eventlog2csv
+  /// converts it back to write_events_csv's exact bytes.
+  std::size_t write_events_binary(std::ostream& out) const;
 
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
+  /// Threads that run the epochs: min(ParConfig::threads, K).
+  [[nodiscard]] std::size_t num_threads() const {
+    return pool_ ? pool_->size() : 1;
+  }
   [[nodiscard]] const Shard& shard(std::size_t k) const { return *shards_[k]; }
   [[nodiscard]] Shard& shard(std::size_t k) { return *shards_[k]; }
   [[nodiscard]] const ShardPlan& plan() const { return plan_; }
@@ -176,9 +190,15 @@ class ShardedDailyRun {
                     sim::SimTime now);
   /// Lazily build one CheckpointManager per shard (sections + owners).
   void ensure_managers();
+  /// Hand every stitched global event row to \p sink, in output order.
+  void merge_events(const EventSink& sink) const;
   /// Digest stored in snapshots: the daily digest plus shard count and
   /// sync interval, so snapshots only restore into the same trajectory.
   [[nodiscard]] std::string config_digest() const;
+  /// Whether barriers write snapshots: an output path and a cadence.
+  [[nodiscard]] bool checkpointing() const {
+    return !config_.run.checkpoint_out.empty() && checkpoint_every_s_ > 0.0;
+  }
   /// Audits, checkpoint, watchdog beat, and the on_barrier hook — runs
   /// serially after the hand-off with t_ already at the barrier time.
   void at_barrier();
@@ -191,6 +211,7 @@ class ShardedDailyRun {
   ParConfig par_;
   ShardPlan plan_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Null when one thread runs every epoch.
   std::unique_ptr<util::ThreadPool> pool_;
 
   /// Cross-shard migrations recorded by the coordinator with GLOBAL ids
@@ -205,8 +226,9 @@ class ShardedDailyRun {
   std::vector<std::unique_ptr<ckpt::RuntimeAuditor>> auditors_;
   std::unique_ptr<ckpt::Watchdog> watchdog_;
   std::vector<double> last_energy_;  ///< per shard, for the monotonicity check
-  std::string ckpt_path_;
-  std::string resume_path_;
+  /// Checkpoint cadence: config.run's, or on a resumed run without one,
+  /// the cadence stored in the snapshot. Persisted in every snapshot.
+  sim::SimTime checkpoint_every_s_ = 0.0;
   double next_ckpt_due_ = 0.0;
   double next_audit_due_ = 0.0;
 

@@ -12,7 +12,8 @@
 ///    the {"shard", k} label, and pull callbacks only fire when an
 ///    exporter samples the registry (after run(), single-threaded). For
 ///    K=1 the label is omitted, so the exported series are exactly the
-///    single-threaded run's.
+///    single-threaded run's. Barrier snapshots and audits export through
+///    Instrumentation::attach_robustness, under the single-calendar names.
 ///  * **Logs**: one Logger per shard writing JSONL into an in-memory
 ///    sink, each record tagged with its shard; write_log() K-way merges
 ///    the streams by ts_sim with ties broken in shard order.

@@ -45,8 +45,8 @@ Shard::Shard(const scenario::DailyConfig& config, const ShardPlan& plan,
              std::size_t shard_id, trace::StreamingTraces bank)
     : plan_(plan), id_(shard_id), bank_(std::move(bank)) {
   // Mirror DailyScenario's construction exactly (scenario.cpp): fleet,
-  // trace driver, controller from Rng(seed).split(1), collector, log. Any
-  // divergence here breaks the K=1 bit-identity pin.
+  // trace driver, controller from Rng(seed).split(1) and its racks,
+  // collector, log. Any divergence here breaks the K=1 bit-identity pin.
   dc_ = std::make_unique<dc::DataCenter>();
   const scenario::FleetConfig& fleet = config.fleet;
   util::require(!fleet.core_mix.empty(), "Shard: empty core mix");
@@ -66,6 +66,14 @@ Shard::Shard(const scenario::DailyConfig& config, const ShardPlan& plan,
   util::Rng rng(shard_seed(config.seed, id_));
   eco_ = std::make_unique<core::EcoCloudController>(sim_, *dc_, config.params,
                                                     rng.split(1));
+  if (config.topology) {
+    // Only a one-shard run has racks (ShardedDailyRun refuses them for
+    // K > 1), so this shard's fleet is the whole fleet and invitations
+    // never cross a shard.
+    topology_ =
+        std::make_unique<net::Topology>(dc_->num_servers(), *config.topology);
+    eco_->set_topology(topology_.get());
+  }
 
   collector_ = std::make_unique<metrics::MetricsCollector>(sim_, *dc_);
   collector_->attach(*eco_);
@@ -169,56 +177,11 @@ void Shard::register_checkpoint(ckpt::CheckpointManager& manager) {
   manager.add_section(
       "shard", [this](util::BinWriter& w) { save_state(w); },
       [this](util::BinReader& r) { load_state(r); });
-  manager.add_section(
-      "datacenter", [this](util::BinWriter& w) { dc_->save_state(w); },
-      [this](util::BinReader& r) { dc_->load_state(r); });
-  manager.add_section(
-      "controller", [this](util::BinWriter& w) { eco_->save_state(w); },
-      [this](util::BinReader& r) { eco_->load_state(r); });
-  manager.add_section(
-      "trace_driver",
-      [this](util::BinWriter& w) { trace_driver_->save_state(w); },
-      [this](util::BinReader& r) { trace_driver_->load_state(r); });
-  manager.add_section(
-      "collector", [this](util::BinWriter& w) { collector_->save_state(w); },
-      [this](util::BinReader& r) { collector_->load_state(r); });
+  scenario::register_daily_checkpoint(manager, *dc_, *eco_, *trace_driver_,
+                                      *collector_, injector_.get());
   manager.add_section(
       "event_log", [this](util::BinWriter& w) { log_->save_state(w); },
       [this](util::BinReader& r) { log_->load_state(r); });
-  if (injector_) {
-    manager.add_section(
-        "faults", [this](util::BinWriter& w) { injector_->save_state(w); },
-        [this](util::BinReader& r) { injector_->load_state(r); });
-  }
-
-  manager.add_owner(
-      sim::tag_owner::kController,
-      [this](const sim::EventTag& tag) { return eco_->rebuild_event(tag); },
-      [this](const sim::EventTag& tag, sim::EventHandle handle) {
-        eco_->bind_event(tag, handle);
-      });
-  manager.add_owner(sim::tag_owner::kTraceDriver,
-                    [this](const sim::EventTag& tag) {
-                      return trace_driver_->rebuild_event(tag);
-                    });
-  manager.add_owner(sim::tag_owner::kCollector,
-                    [this](const sim::EventTag& tag) {
-                      return collector_->rebuild_event(tag);
-                    });
-  if (injector_) {
-    manager.add_owner(sim::tag_owner::kFaults,
-                      [this](const sim::EventTag& tag) {
-                        return injector_->rebuild_event(tag);
-                      });
-    manager.add_owner(
-        sim::tag_owner::kRedeploy,
-        [this](const sim::EventTag& tag) {
-          return injector_->redeploy().rebuild_event(tag);
-        },
-        [this](const sim::EventTag& tag, sim::EventHandle handle) {
-          injector_->redeploy().bind_event(tag, handle);
-        });
-  }
 }
 
 std::optional<dc::ServerId> Shard::invite(sim::SimTime now, double demand_mhz,

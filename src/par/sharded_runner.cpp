@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <ostream>
+#include <thread>
 #include <utility>
 
 #include "ecocloud/ckpt/auditor.hpp"
@@ -28,10 +29,11 @@ ShardedDailyRun::ShardedDailyRun(scenario::DailyConfig config, ParConfig par)
   config_.faults.validate();
   util::require(par_.sync_interval_s > 0.0,
                 "ShardedDailyRun: sync interval must be > 0");
-  util::require(!config_.topology,
-                "ShardedDailyRun: rack topology is not supported in sharded "
-                "mode (invitations would need cross-shard rack scoping)");
+  util::require(!config_.topology || par_.shards == 1,
+                "ShardedDailyRun: rack topology needs a single shard "
+                "(invitations would need cross-shard rack scoping)");
   warmup_done_ = config_.warmup_s <= 0.0;
+  checkpoint_every_s_ = config_.run.checkpoint_every_s;
 
   // The traces are generated once from the bare seed — exactly as
   // DailyScenario does — so the workload is a function of the config
@@ -49,7 +51,12 @@ ShardedDailyRun::ShardedDailyRun(scenario::DailyConfig config, ParConfig par)
     shards_.push_back(
         std::make_unique<Shard>(config_, plan_, k, std::move(banks[k])));
   }
-  pool_ = std::make_unique<util::ThreadPool>(par_.threads);
+  const std::size_t threads =
+      par_.threads != 0
+          ? par_.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t workers = std::min(threads, par_.shards);
+  if (workers > 1) pool_ = std::make_unique<util::ThreadPool>(workers);
 }
 
 ShardedDailyRun::~ShardedDailyRun() = default;
@@ -87,19 +94,17 @@ void ShardedDailyRun::set_profiler(util::PhaseProfiler* profiler) {
 
 void ShardedDailyRun::save_snapshot(const std::string& path) {
   util::ScopedPhase profile(util::Phase::kCheckpointWrite);
+  const std::uint64_t t0 = util::monotonic_ns();
   ensure_managers();
   ckpt::Snapshot snapshot;
-  {
-    util::BinWriter w;
-    w.str(config_digest());
-    snapshot.add("meta", w.take());
-  }
+  ckpt::add_config_digest(snapshot, config_digest());
   {
     // Coordinator state. Snapshots are written after barrier_handoff, so
     // the wish queue is empty by construction; what remains is the epoch
     // clock and the cross-shard accounting.
     util::BinWriter w;
     w.f64(t_);
+    w.f64(checkpoint_every_s_);
     w.boolean(warmup_done_);
     w.u64(stats_.barriers);
     w.u64(stats_.stranded_wishes);
@@ -122,6 +127,13 @@ void ShardedDailyRun::save_snapshot(const std::string& path) {
   }
   ckpt::write_snapshot_file(snapshot, path);
   ++stats_.checkpoints_written;
+  stats_.snapshot_bytes_last = 0;
+  for (const ckpt::SnapshotSection& section : snapshot.sections) {
+    stats_.snapshot_bytes_last += section.payload.size();
+  }
+  stats_.save_wall_seconds_last =
+      static_cast<double>(util::monotonic_ns() - t0) * 1e-9;
+  stats_.save_wall_seconds_total += stats_.save_wall_seconds_last;
   if (on_checkpoint) on_checkpoint(path);
 }
 
@@ -130,22 +142,7 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
   util::require(!resumed_, "ShardedDailyRun: restore_snapshot called twice");
   ensure_managers();
   const ckpt::Snapshot snapshot = ckpt::read_snapshot_file(path);
-
-  const ckpt::SnapshotSection* meta = snapshot.find("meta");
-  if (meta == nullptr) {
-    throw ckpt::SnapshotError("snapshot: '" + path + "' has no meta section");
-  }
-  {
-    util::BinReader r(meta->payload);
-    const std::string stored = r.str();
-    r.expect_exhausted("meta");
-    if (stored != config_digest()) {
-      throw ckpt::SnapshotError(
-          "snapshot: '" + path +
-          "' was written for a different configuration\n  stored:  " + stored +
-          "\n  current: " + config_digest());
-    }
-  }
+  ckpt::require_config_digest(snapshot, config_digest(), path);
 
   const ckpt::SnapshotSection* coord = snapshot.find("coordinator");
   if (coord == nullptr) {
@@ -155,6 +152,8 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
   {
     util::BinReader r(coord->payload);
     t_ = r.f64();
+    const sim::SimTime stored_every_s = r.f64();
+    if (checkpoint_every_s_ <= 0.0) checkpoint_every_s_ = stored_every_s;
     warmup_done_ = r.boolean();
     stats_.barriers = r.u64();
     stats_.stranded_wishes = r.u64();
@@ -200,7 +199,6 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
       if (home != k) shards_[k]->adopt_trace_row(row, *shards_[home]);
     }
   }
-  resume_path_ = path;
   resumed_ = true;
 }
 
@@ -213,14 +211,10 @@ void ShardedDailyRun::run() {
   // none of it schedules calendar events — so enabling checkpoints,
   // audits, or the watchdog never perturbs the simulated trajectory.
   const scenario::RunControl& rc = config_.run;
-  ckpt_path_ = rc.checkpoint_out;
-  if (ckpt_path_.empty() && resumed_) ckpt_path_ = resume_path_;
-  if (!ckpt_path_.empty() && rc.checkpoint_every_s > 0.0) {
+  if (checkpointing()) {
     ensure_managers();
     next_ckpt_due_ =
-        (std::floor(t_ / rc.checkpoint_every_s) + 1.0) * rc.checkpoint_every_s;
-  } else {
-    ckpt_path_.clear();
+        (std::floor(t_ / checkpoint_every_s_) + 1.0) * checkpoint_every_s_;
   }
   if (rc.audit_every_s > 0.0) {
     const ckpt::AuditAction action = ckpt::parse_audit_action(rc.audit_action);
@@ -325,9 +319,11 @@ void ShardedDailyRun::run() {
         seen[k] = 1;
         run_shard_epoch(k, next);
       }
-    } else {
+    } else if (pool_) {
       pool_->parallel_for(0, K,
                           [&](std::size_t k) { run_shard_epoch(k, next); });
+    } else {
+      for (std::size_t k = 0; k < K; ++k) run_shard_epoch(k, next);
     }
     const double slowest = *std::max_element(last_epoch_wall_s_.begin(),
                                              last_epoch_wall_s_.end());
@@ -528,10 +524,10 @@ void ShardedDailyRun::at_barrier() {
     next_audit_due_ = (std::floor(t_ / config_.run.audit_every_s) + 1.0) *
                       config_.run.audit_every_s;
   }
-  if (!ckpt_path_.empty() && t_ >= next_ckpt_due_) {
-    save_snapshot(ckpt_path_);
-    next_ckpt_due_ = (std::floor(t_ / config_.run.checkpoint_every_s) + 1.0) *
-                     config_.run.checkpoint_every_s;
+  if (checkpointing() && t_ >= next_ckpt_due_) {
+    save_snapshot(config_.run.checkpoint_out);
+    next_ckpt_due_ =
+        (std::floor(t_ / checkpoint_every_s_) + 1.0) * checkpoint_every_s_;
   }
   if (watchdog_) {
     std::uint64_t executed = 0;
@@ -548,8 +544,10 @@ void ShardedDailyRun::run_audits() {
   // Per-shard invariants first (calendar integrity, fleet accounting, VM
   // ownership vs controller/redeploy tracking) — each shard's auditor
   // applies the configured action itself (log/heal/abort).
+  stats_.audit_heals = 0;
   for (auto& auditor : auditors_) {
     if (!auditor->run_audit().empty()) ++stats_.audit_failures;
+    stats_.audit_heals += auditor->stats().heals_applied;
   }
   // Then the invariants no single shard can see.
   const std::vector<std::string> cross = cross_shard_failures();
@@ -624,7 +622,7 @@ std::vector<std::string> ShardedDailyRun::cross_shard_failures() {
   return failures;
 }
 
-std::vector<metrics::Event> ShardedDailyRun::merged_events() const {
+void ShardedDailyRun::merge_events(const EventSink& sink) const {
   // (K+1)-way merge over per-shard segments (each already time-ordered)
   // plus the coordinator's cross-shard rows, keyed by (time, stream) with
   // the coordinator last, with local ids translated to global — K=1
@@ -646,15 +644,20 @@ std::vector<metrics::Event> ShardedDailyRun::merged_events() const {
         }});
   }
   streams.push_back(EventStream{&coordinator_events_, {}});
-  return merge_event_streams(streams);
+  merge_event_streams(streams, sink);
 }
 
-void ShardedDailyRun::write_events_csv(std::ostream& out) const {
-  write_merged_events_csv(out, merged_events());
+std::size_t ShardedDailyRun::write_events_csv(std::ostream& out) const {
+  std::vector<metrics::Event> rows;
+  merge_events([&rows](const metrics::Event& e) { rows.push_back(e); });
+  write_merged_events_csv(out, rows);
+  return rows.size();
 }
 
-void ShardedDailyRun::write_events_binary(std::ostream& out) const {
-  metrics::write_binary_events(out, merged_events());
+std::size_t ShardedDailyRun::write_events_binary(std::ostream& out) const {
+  metrics::BinaryEventWriter writer(out);
+  merge_events([&writer](const metrics::Event& e) { writer.write(e); });
+  return writer.written();
 }
 
 }  // namespace ecocloud::par

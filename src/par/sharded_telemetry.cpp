@@ -83,17 +83,17 @@ ShardedTelemetry::ShardedTelemetry(ShardedDailyRun& run, Options options)
       "ecocloud_par_cross_shard_migrations_total",
       [stats] { return stats->cross_shard_migrations; }, {},
       "VMs transferred between shards at barriers");
-  registry_.counter_fn(
-      "ecocloud_par_audits_run_total", [stats] { return stats->audits_run; },
-      {}, "Barrier audit rounds executed");
-  registry_.counter_fn(
-      "ecocloud_par_audit_failures_total",
-      [stats] { return stats->audit_failures; }, {},
-      "Failed audit checks (per-shard and cross-shard) across all rounds");
-  registry_.counter_fn(
-      "ecocloud_par_checkpoints_written_total",
-      [stats] { return stats->checkpoints_written; }, {},
-      "Sharded snapshots written at barriers");
+  // Barrier snapshots and audits under the single-calendar series names.
+  stacks_.front()->instrumentation->attach_robustness([stats] {
+    obs::RobustnessSample sample;
+    sample.checkpoints_written = stats->checkpoints_written;
+    sample.snapshot_bytes_last = stats->snapshot_bytes_last;
+    sample.save_wall_seconds_total = stats->save_wall_seconds_total;
+    sample.audits_run = stats->audits_run;
+    sample.audits_failed = stats->audit_failures;
+    sample.heals_applied = stats->audit_heals;
+    return sample;
+  });
 
   // Barrier-driven flush, chained so an existing hook keeps firing.
   run_.on_barrier = [this, prev = std::move(run_.on_barrier)](sim::SimTime t) {

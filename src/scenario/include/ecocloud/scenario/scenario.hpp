@@ -126,6 +126,18 @@ enum class Algorithm { kEcoCloud, kCentralized, kStatic };
 [[nodiscard]] std::string daily_config_digest(const DailyConfig& config,
                                               const char* algo);
 
+/// Register the state sections (datacenter, controller, trace_driver,
+/// collector, and faults when \p injector is set) and the calendar-event
+/// owners of one ecoCloud daily simulation, in that order. DailyScenario
+/// and par::Shard add their own sections around these. Every object must
+/// outlive \p manager.
+void register_daily_checkpoint(ckpt::CheckpointManager& manager,
+                               dc::DataCenter& datacenter,
+                               core::EcoCloudController& controller,
+                               core::TraceDriver& trace_driver,
+                               metrics::MetricsCollector& collector,
+                               faults::FaultInjector* injector);
+
 /// A fully wired daily-cycle experiment. Construct, then run().
 class DailyScenario {
  public:

@@ -260,58 +260,71 @@ std::string DailyScenario::config_digest() const {
                                                                      : "static");
 }
 
+void register_daily_checkpoint(ckpt::CheckpointManager& manager,
+                               dc::DataCenter& datacenter,
+                               core::EcoCloudController& controller,
+                               core::TraceDriver& trace_driver,
+                               metrics::MetricsCollector& collector,
+                               faults::FaultInjector* injector) {
+  dc::DataCenter* dc = &datacenter;
+  core::EcoCloudController* eco = &controller;
+  core::TraceDriver* driver = &trace_driver;
+  metrics::MetricsCollector* coll = &collector;
+  manager.add_section(
+      "datacenter", [dc](util::BinWriter& w) { dc->save_state(w); },
+      [dc](util::BinReader& r) { dc->load_state(r); });
+  manager.add_section(
+      "controller", [eco](util::BinWriter& w) { eco->save_state(w); },
+      [eco](util::BinReader& r) { eco->load_state(r); });
+  manager.add_section(
+      "trace_driver", [driver](util::BinWriter& w) { driver->save_state(w); },
+      [driver](util::BinReader& r) { driver->load_state(r); });
+  manager.add_section(
+      "collector", [coll](util::BinWriter& w) { coll->save_state(w); },
+      [coll](util::BinReader& r) { coll->load_state(r); });
+  if (injector != nullptr) {
+    manager.add_section(
+        "faults", [injector](util::BinWriter& w) { injector->save_state(w); },
+        [injector](util::BinReader& r) { injector->load_state(r); });
+  }
+
+  manager.add_owner(
+      sim::tag_owner::kController,
+      [eco](const sim::EventTag& tag) { return eco->rebuild_event(tag); },
+      [eco](const sim::EventTag& tag, sim::EventHandle handle) {
+        eco->bind_event(tag, handle);
+      });
+  manager.add_owner(sim::tag_owner::kTraceDriver, [driver](const sim::EventTag& tag) {
+    return driver->rebuild_event(tag);
+  });
+  manager.add_owner(sim::tag_owner::kCollector, [coll](const sim::EventTag& tag) {
+    return coll->rebuild_event(tag);
+  });
+  if (injector != nullptr) {
+    manager.add_owner(sim::tag_owner::kFaults, [injector](const sim::EventTag& tag) {
+      return injector->rebuild_event(tag);
+    });
+    manager.add_owner(
+        sim::tag_owner::kRedeploy,
+        [injector](const sim::EventTag& tag) {
+          return injector->redeploy().rebuild_event(tag);
+        },
+        [injector](const sim::EventTag& tag, sim::EventHandle handle) {
+          injector->redeploy().bind_event(tag, handle);
+        });
+  }
+}
+
 void DailyScenario::register_checkpoint(ckpt::CheckpointManager& manager) {
   util::require(eco_ != nullptr,
                 "checkpointing supports the ecoCloud algorithm only (the "
                 "baseline controllers schedule untagged events)");
   manager.set_config_digest(config_digest());
-
   manager.add_section(
       "scenario", [this](util::BinWriter& w) { w.boolean(warmup_done_); },
       [this](util::BinReader& r) { warmup_done_ = r.boolean(); });
-  manager.add_section(
-      "datacenter", [this](util::BinWriter& w) { dc_->save_state(w); },
-      [this](util::BinReader& r) { dc_->load_state(r); });
-  manager.add_section(
-      "controller", [this](util::BinWriter& w) { eco_->save_state(w); },
-      [this](util::BinReader& r) { eco_->load_state(r); });
-  manager.add_section(
-      "trace_driver", [this](util::BinWriter& w) { trace_driver_->save_state(w); },
-      [this](util::BinReader& r) { trace_driver_->load_state(r); });
-  manager.add_section(
-      "collector", [this](util::BinWriter& w) { collector_->save_state(w); },
-      [this](util::BinReader& r) { collector_->load_state(r); });
-  if (injector_) {
-    manager.add_section(
-        "faults", [this](util::BinWriter& w) { injector_->save_state(w); },
-        [this](util::BinReader& r) { injector_->load_state(r); });
-  }
-
-  manager.add_owner(
-      sim::tag_owner::kController,
-      [this](const sim::EventTag& tag) { return eco_->rebuild_event(tag); },
-      [this](const sim::EventTag& tag, sim::EventHandle handle) {
-        eco_->bind_event(tag, handle);
-      });
-  manager.add_owner(sim::tag_owner::kTraceDriver, [this](const sim::EventTag& tag) {
-    return trace_driver_->rebuild_event(tag);
-  });
-  manager.add_owner(sim::tag_owner::kCollector, [this](const sim::EventTag& tag) {
-    return collector_->rebuild_event(tag);
-  });
-  if (injector_) {
-    manager.add_owner(sim::tag_owner::kFaults, [this](const sim::EventTag& tag) {
-      return injector_->rebuild_event(tag);
-    });
-    manager.add_owner(
-        sim::tag_owner::kRedeploy,
-        [this](const sim::EventTag& tag) {
-          return injector_->redeploy().rebuild_event(tag);
-        },
-        [this](const sim::EventTag& tag, sim::EventHandle handle) {
-          injector_->redeploy().bind_event(tag, handle);
-        });
-  }
+  register_daily_checkpoint(manager, *dc_, *eco_, *trace_driver_, *collector_,
+                            injector_.get());
 }
 
 ConsolidationScenario::ConsolidationScenario(ConsolidationConfig config)

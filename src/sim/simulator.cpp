@@ -32,9 +32,11 @@ std::uint32_t Simulator::acquire_slot() {
     if ((allocated_slots_ & (kChunkSize - 1)) == 0) {
       chunks_.push_back(std::make_unique<Record[]>(kChunkSize));
     }
-    // The free list is empty, so every allocated slot is live and the new
-    // occupancy is a fresh high-water mark.
-    stats_.slab_high_water = allocated_slots_ + 1;
+    // The free list is empty, so every allocated slot is live. A restored
+    // calendar starts with only its pending entries allocated, under the
+    // saved run's lifetime mark, hence the max.
+    stats_.slab_high_water =
+        std::max(stats_.slab_high_water, allocated_slots_ + 1);
     return allocated_slots_++;
   }
   const std::uint32_t slot = free_slots_.back();

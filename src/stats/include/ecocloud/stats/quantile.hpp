@@ -16,6 +16,8 @@ class QuantileSketch {
  public:
   void add(double x);
   void add_all(const std::vector<double>& xs);
+  /// Add every sample \p other retains: quantiles of the merge are exact.
+  void merge(const QuantileSketch& other) { add_all(other.samples_); }
 
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }

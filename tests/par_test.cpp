@@ -13,10 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "ecocloud/ckpt/checkpoint.hpp"
+#include "ecocloud/ckpt/snapshot_io.hpp"
 #include "ecocloud/metrics/event_log.hpp"
 #include "ecocloud/par/event_merge.hpp"
 #include "ecocloud/par/partition.hpp"
 #include "ecocloud/par/sharded_runner.hpp"
+#include "ecocloud/par/sharded_telemetry.hpp"
 #include "ecocloud/scenario/scenario.hpp"
 #include "ecocloud/trace/trace_set.hpp"
 
@@ -53,9 +56,23 @@ std::string slurp(const std::string& path) {
   return buf.str();
 }
 
+std::vector<metrics::Event> merged_rows(
+    const std::vector<par::EventStream>& streams) {
+  std::vector<metrics::Event> rows;
+  par::merge_event_streams(
+      streams, [&rows](const metrics::Event& e) { rows.push_back(e); });
+  return rows;
+}
+
 std::string events_csv(const par::ShardedDailyRun& run) {
   std::ostringstream out;
   run.write_events_csv(out);
+  return out.str();
+}
+
+std::string events_binary(const par::ShardedDailyRun& run) {
+  std::ostringstream out;
+  run.write_events_binary(out);
   return out.str();
 }
 
@@ -147,8 +164,8 @@ TEST(ShardPlan, RejectsPlansBeyondThe32BitIdSpace) {
 // --------------------------------------------------------- unsupported modes
 
 TEST(ShardedDailyRun, RejectsTopologyAndBadSyncInterval) {
-  // Rack topology is the one remaining exclusion (invitations would need
-  // cross-shard rack scoping); faults, checkpointing, auditing, and
+  // Racks with K > 1 are the one remaining exclusion (invitations would
+  // need cross-shard rack scoping); faults, checkpointing, auditing, and
   // telemetry all compose with sharding now.
   {
     auto config = small_config();
@@ -170,38 +187,47 @@ TEST(ShardedDailyRun, RejectsTopologyAndBadSyncInterval) {
 // -------------------------------------------------- K=1 == single-threaded
 
 TEST(ShardedDailyRun, SingleShardIsBitIdenticalToSingleThreadedEngine) {
-  const auto config = small_config();
+  // With racks too: K = 1 builds the whole fleet's topology, exactly as
+  // DailyScenario does, so group invitations and transfer times match.
+  auto racks = small_config();
+  racks.topology = net::TopologyConfig{.num_racks = 4};
+  std::vector<std::string> logs;
+  for (const auto& config : {small_config(), racks}) {
+    SCOPED_TRACE(config.topology ? "4 racks" : "no racks");
+    scenario::DailyScenario reference(config);
+    metrics::EventLog reference_log;
+    reference_log.attach(*reference.ecocloud());
+    reference.run();
 
-  scenario::DailyScenario reference(config);
-  metrics::EventLog reference_log;
-  reference_log.attach(*reference.ecocloud());
-  reference.run();
+    par::ShardedDailyRun sharded(config, {.shards = 1, .threads = 2});
+    sharded.run();
 
-  par::ShardedDailyRun sharded(config, {.shards = 1, .threads = 2});
-  sharded.run();
+    // Aggregate totals: exact, not approximate.
+    const dc::DataCenter& rdc = reference.datacenter();
+    EXPECT_EQ(sharded.stats().executed_events,
+              reference.simulator().executed_events());
+    EXPECT_EQ(sharded.stats().migrations, rdc.total_migrations());
+    EXPECT_EQ(sharded.stats().activations, rdc.total_activations());
+    EXPECT_EQ(sharded.stats().hibernations, rdc.total_hibernations());
+    EXPECT_EQ(sharded.stats().energy_joules, rdc.energy_joules());
+    EXPECT_EQ(sharded.stats().low_migrations,
+              reference.ecocloud()->low_migrations());
+    EXPECT_EQ(sharded.stats().high_migrations,
+              reference.ecocloud()->high_migrations());
+    EXPECT_EQ(sharded.stats().cross_shard_migrations, 0u);
 
-  // Aggregate totals: exact, not approximate.
-  const dc::DataCenter& rdc = reference.datacenter();
-  EXPECT_EQ(sharded.stats().executed_events,
-            reference.simulator().executed_events());
-  EXPECT_EQ(sharded.stats().migrations, rdc.total_migrations());
-  EXPECT_EQ(sharded.stats().activations, rdc.total_activations());
-  EXPECT_EQ(sharded.stats().hibernations, rdc.total_hibernations());
-  EXPECT_EQ(sharded.stats().energy_joules, rdc.energy_joules());
-  EXPECT_EQ(sharded.stats().low_migrations,
-            reference.ecocloud()->low_migrations());
-  EXPECT_EQ(sharded.stats().high_migrations,
-            reference.ecocloud()->high_migrations());
-  EXPECT_EQ(sharded.stats().cross_shard_migrations, 0u);
+    // Samples: field-exact.
+    expect_samples_identical(sharded.merged_samples(),
+                             reference.collector().samples());
 
-  // Samples: field-exact.
-  expect_samples_identical(sharded.merged_samples(),
-                           reference.collector().samples());
-
-  // Event log: byte-exact.
-  std::ostringstream reference_csv;
-  reference_log.write_csv(reference_csv);
-  EXPECT_EQ(events_csv(sharded), reference_csv.str());
+    // Event log: byte-exact.
+    std::ostringstream reference_csv;
+    reference_log.write_csv(reference_csv);
+    EXPECT_EQ(events_csv(sharded), reference_csv.str());
+    logs.push_back(reference_csv.str());
+  }
+  // The racks really scope the invitations (else the pin proves nothing).
+  EXPECT_NE(logs[0], logs[1]);
 }
 
 // ------------------------------------------- thread-count independence (K=4)
@@ -353,9 +379,15 @@ TEST(ShardedDailyRun, CheckpointResumeIsBitIdenticalAcrossThreadCounts) {
             reference.stats().energy_joules);
 
   // Resume the first mid-run snapshot at two other thread counts; both
-  // must land byte-identical to the uninterrupted reference.
+  // must land byte-identical to the uninterrupted reference. The 8-thread
+  // resume names an output but no cadence: it keeps the snapshot's 1800 s
+  // and its last snapshot must be the checkpointed run's, byte for byte.
+  const std::string resumed_out = temp_path("shard_resumed.ckpt");
   for (const std::size_t threads : {1u, 8u}) {
-    par::ShardedDailyRun resumed(config, {.shards = 4, .threads = threads});
+    auto resume_config = config;
+    if (threads == 8) resume_config.run.checkpoint_out = resumed_out;
+    par::ShardedDailyRun resumed(resume_config,
+                                 {.shards = 4, .threads = threads});
     resumed.restore_snapshot(first_snapshot);
     ASSERT_TRUE(resumed.resumed());
     resumed.run();
@@ -363,9 +395,13 @@ TEST(ShardedDailyRun, CheckpointResumeIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(resumed.stats().energy_joules, reference.stats().energy_joules);
     expect_samples_identical(resumed.merged_samples(),
                              reference.merged_samples());
+    EXPECT_EQ(resumed.stats().checkpoints_written,
+              threads == 8 ? snapshots - 1 : 0u);
   }
+  EXPECT_EQ(slurp(resumed_out), slurp(ckpt_config.run.checkpoint_out));
 
   std::remove(first_snapshot.c_str());
+  std::remove(resumed_out.c_str());
   std::remove(ckpt_config.run.checkpoint_out.c_str());
 }
 
@@ -417,6 +453,24 @@ TEST(ShardedDailyRun, RestoreRejectsDigestMismatch) {
   par::ShardedDailyRun wrong_sync(
       config, {.shards = 2, .threads = 1, .sync_interval_s = 600.0});
   EXPECT_THROW(wrong_sync.restore_snapshot(snapshot), std::exception);
+
+  // A single-calendar snapshot (DailyScenario + CheckpointManager, what
+  // run-daily --checkpoint-out wrote before it ran on shards) is refused
+  // by a K = 1 run, naming the configuration mismatch.
+  scenario::DailyScenario daily(config);
+  ckpt::CheckpointManager manager(daily.simulator());
+  daily.register_checkpoint(manager);
+  daily.start();
+  manager.save(snapshot);
+  par::ShardedDailyRun single(config, {.shards = 1, .threads = 1});
+  try {
+    single.restore_snapshot(snapshot);
+    ADD_FAILURE() << "a single-calendar snapshot restored into a K=1 run";
+  } catch (const ckpt::SnapshotError& error) {
+    EXPECT_NE(std::string(error.what()).find("different configuration"),
+              std::string::npos)
+        << error.what();
+  }
 
   std::remove(snapshot.c_str());
 }
@@ -510,6 +564,44 @@ TEST(ShardedDailyRun, FaultedBarrierAuditsStayClean) {
   EXPECT_EQ(run.stats().audit_failures, 0u);
 }
 
+// ------------------------------------------------------- sharded telemetry
+
+TEST(ShardedTelemetry, ObservesAFaultedCheckpointedRunWithoutPerturbingIt) {
+  // Every observer on (trace timelines, trace-level logs, the shared
+  // registry) over a faulted run that also writes barrier snapshots: the
+  // trajectory must be the bare run's, and the registry must export the
+  // runner's snapshot count under the single-calendar series name.
+  const auto config = faulted_config();
+  auto observed_config = config;
+  observed_config.run.checkpoint_out = temp_path("telemetry.ckpt");
+  observed_config.run.checkpoint_every_s = 1800.0;
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    par::ShardedDailyRun bare(config, {.shards = shards, .threads = 2});
+    bare.run();
+
+    par::ShardedDailyRun observed(observed_config,
+                                  {.shards = shards, .threads = 2});
+    par::ShardedTelemetry telemetry(
+        observed, {.trace = true, .log_level = obs::LogLevel::kTrace});
+    observed.run();
+    telemetry.finalize(config.horizon_s);
+
+    EXPECT_EQ(events_binary(observed), events_binary(bare));
+    expect_samples_identical(observed.merged_samples(), bare.merged_samples());
+    EXPECT_EQ(observed.stats().energy_joules, bare.stats().energy_joules);
+    EXPECT_EQ(observed.stats().executed_events, bare.stats().executed_events);
+
+    EXPECT_GT(telemetry.log_lines(), 0u);
+    ASSERT_GT(observed.stats().checkpoints_written, 0u);
+    const obs::Counter* written =
+        telemetry.registry().find_counter("ecocloud_checkpoints_written_total");
+    ASSERT_NE(written, nullptr);
+    EXPECT_EQ(written->value(), observed.stats().checkpoints_written);
+  }
+  std::remove(observed_config.run.checkpoint_out.c_str());
+}
+
 // ---------------------------------------------------------- event-log merge
 
 TEST(EventMerge, EqualTimestampsKeepStreamOrder) {
@@ -529,7 +621,7 @@ TEST(EventMerge, EqualTimestampsKeepStreamOrder) {
   const std::vector<par::EventStream> streams = {
       {&s0, {}}, {&s1, {}}, {&s2, {}}};
 
-  const auto merged = par::merge_event_streams(streams);
+  const auto merged = merged_rows(streams);
   ASSERT_EQ(merged.size(), 4u);
   EXPECT_EQ(merged[0].server, 10u);
   EXPECT_EQ(merged[1].server, 11u);
@@ -537,7 +629,7 @@ TEST(EventMerge, EqualTimestampsKeepStreamOrder) {
   EXPECT_EQ(merged[3].server, 30u);
 
   // Deterministic: merging twice yields the same rows.
-  const auto again = par::merge_event_streams(streams);
+  const auto again = merged_rows(streams);
   ASSERT_EQ(again.size(), merged.size());
   for (std::size_t i = 0; i < merged.size(); ++i) {
     EXPECT_EQ(again[i].time, merged[i].time);
@@ -553,7 +645,7 @@ TEST(EventMerge, InterleavesStrictlyByTimeAcrossStreams) {
                                  {5.0, EventKind::kAssignment, 1, 0, false}};
   const std::vector<Event> s1 = {{2.0, EventKind::kAssignment, 2, 1, false},
                                  {4.0, EventKind::kAssignment, 3, 1, false}};
-  const auto merged = par::merge_event_streams({{&s0, {}}, {&s1, {}}});
+  const auto merged = merged_rows({{&s0, {}}, {&s1, {}}});
   ASSERT_EQ(merged.size(), 4u);
   EXPECT_EQ(merged[0].time, 1.0);
   EXPECT_EQ(merged[1].time, 2.0);
@@ -587,7 +679,7 @@ TEST(EventMerge, TranslationRoundTripsLocalIdsThroughShardPlan) {
                        }});
   }
 
-  const auto merged = par::merge_event_streams(streams);
+  const auto merged = merged_rows(streams);
   ASSERT_EQ(merged.size(), 12u);
   std::vector<bool> seen(12, false);
   for (const Event& e : merged) {
