@@ -32,7 +32,6 @@
 
 #include "ecocloud/ckpt/auditor.hpp"
 #include "ecocloud/ckpt/checkpoint.hpp"
-#include "ecocloud/ckpt/watchdog.hpp"
 #include "ecocloud/core/probability.hpp"
 #include "ecocloud/obs/chrome_trace.hpp"
 #include "ecocloud/obs/exporters.hpp"
@@ -316,9 +315,11 @@ struct TelemetryFlags {
 };
 
 /// Run-control flags over the config file's [checkpoint] / [audit] /
-/// [watchdog] sections, for both run commands. Returns the --resume-from
-/// path. A resumed run keeps writing snapshots: to --checkpoint-out when
-/// given, otherwise back over the file it resumed from.
+/// [watchdog] sections, for both run commands, validated once merged.
+/// Returns the --resume-from path. A resumed run keeps writing snapshots
+/// at its snapshot's cadence unless --checkpoint-every sets one: to
+/// --checkpoint-out when given, otherwise back over the file it resumed
+/// from.
 std::optional<std::string> parse_run_control(Options& options,
                                              scenario::RunControl& run) {
   if (const auto v = options.get("checkpoint-out")) run.checkpoint_out = *v;
@@ -329,220 +330,14 @@ std::optional<std::string> parse_run_control(Options& options,
   if (const auto v = options.get("audit-action")) run.audit_action = *v;
   run.watchdog_stall_s =
       options.get_double("watchdog-stall", run.watchdog_stall_s);
+  run.validate(resume_path.has_value());
   if (!run.checkpoint_out.empty()) {
-    util::require(run.checkpoint_every_s > 0.0 || resume_path.has_value(),
-                  "--checkpoint-out needs --checkpoint-every SECONDS (> 0)");
     require_writable(run.checkpoint_out);
   } else if (resume_path) {
     run.checkpoint_out = *resume_path;
   }
   return resume_path;
 }
-
-/// run-consolidation's telemetry wiring. Flags are consumed up front;
-/// attach() subscribes before the run (so it chains behind the collector
-/// already installed), finish() closes the trace spans and writes the
-/// requested output files.
-class CliTelemetry {
- public:
-  explicit CliTelemetry(Options& options, LivePlane& live)
-      : live_(live), flags_(options) {
-    if (flags_.trace_path) trace_.emplace();
-    if (flags_.log_path) {
-      log_file_.open(*flags_.log_path);
-      util::require(log_file_.good(), "cannot open " + *flags_.log_path);
-      logger_.set_sink(&log_file_);
-    } else if (flags_.level != obs::LogLevel::kOff) {
-      logger_.set_sink(&std::clog);
-    }
-    logger_.set_level(flags_.level);
-  }
-
-  [[nodiscard]] bool enabled() const { return flags_.any() || live_.any(); }
-
-  void attach(sim::Simulator& sim, const dc::DataCenter& datacenter,
-              core::EcoCloudController& controller, bool resumed) {
-    if (!enabled()) return;
-    logger_.set_clock([&sim] { return sim.now(); });
-    instr_.emplace(registry_, logger_, trace_ ? &*trace_ : nullptr);
-    instr_->attach_engine(sim);
-    instr_->attach_datacenter(datacenter);
-    instr_->attach_controller(controller);
-    live_.start(registry_, /*num_domains=*/1);
-    if (live_.core() != nullptr) {
-      // The run executes on this thread; one domain covers it.
-      util::set_current_domain(&live_.core()->domain(0));
-    }
-    if (live_.any()) {
-      sim::Simulator* simp = &sim;
-      obs::ChromeTraceWriter* trace = trace_ ? &*trace_ : nullptr;
-      instr_->set_flush_hook([this, simp, trace](sim::SimTime now) {
-        live_.publish(now, simp->executed_events());
-        if (trace != nullptr && live_.profiler() != nullptr) {
-          live_.profiler()->emit_counter_track(*trace, now);
-        }
-      });
-    }
-    // A resumed run re-arms the tagged flush event from the snapshot's
-    // calendar (register_checkpoint) instead of scheduling a fresh one.
-    if (!resumed) instr_->start_flush(sim, kFlushPeriodS);
-  }
-
-  /// Register the flush event's owner so snapshots written or restored
-  /// under telemetry can rebuild it. Telemetry has no state section: it
-  /// is an observer, and its own counters restart on resume.
-  void register_checkpoint(ckpt::CheckpointManager& manager, sim::Simulator& sim) {
-    if (!instr_) return;
-    manager.add_owner(sim::tag_owner::kObsFlush,
-                      [this, &sim](const sim::EventTag& tag) {
-                        util::require(tag.kind == obs::Instrumentation::kEvFlush,
-                                      "snapshot: unknown telemetry event kind");
-                        return instr_->make_flush_callback(sim);
-                      });
-  }
-
-  /// Register pull-mode checkpoint/audit metrics (no-op without telemetry).
-  void attach_robustness(std::function<obs::RobustnessSample()> sample) {
-    if (instr_) instr_->attach_robustness(std::move(sample));
-  }
-
-  void finish(sim::SimTime end) {
-    if (!instr_) return;
-    instr_->finalize(end);
-    if (trace_ && live_.profiler() != nullptr) {
-      live_.profiler()->emit_counter_track(*trace_, end);
-    }
-    flags_.write(registry_, [this](std::ostream& out) { trace_->write(out); });
-    if (flags_.log_path) {
-      std::printf("log written to %s (%llu lines)\n", flags_.log_path->c_str(),
-                  static_cast<unsigned long long>(logger_.lines_written()));
-    }
-  }
-
- private:
-  /// Sim-time period of the logger/trace flush hook (5 min).
-  static constexpr double kFlushPeriodS = 300.0;
-
-  LivePlane& live_;
-  TelemetryFlags flags_;
-  obs::MetricRegistry registry_;
-  obs::Logger logger_;
-  std::optional<obs::ChromeTraceWriter> trace_;
-  std::ofstream log_file_;
-  std::optional<obs::Instrumentation> instr_;
-};
-
-/// run-consolidation's checkpoint/audit/watchdog wiring: wire() builds
-/// the machinery against the constructed scenario and launch() either
-/// restores a snapshot or starts the periodic services.
-class Robustness {
- public:
-  Robustness(Options& options, scenario::RunControl run) : run_(std::move(run)) {
-    resume_path_ = parse_run_control(options, run_);
-    util::require(run_.watchdog_stall_s <= 0.0 || run_.audit_every_s > 0.0,
-                  "the watchdog is fed by the auditor's heartbeat: "
-                  "--watchdog-stall needs --audit-every");
-  }
-
-  [[nodiscard]] bool resumed() const { return resume_path_.has_value(); }
-
-  /// Build auditor, watchdog, and checkpoint manager. \p register_scenario
-  /// registers the scenario's own sections/owners when checkpointing.
-  template <typename RegisterFn>
-  void wire(sim::Simulator& sim, dc::DataCenter& datacenter,
-            const core::EcoCloudController& controller, CliTelemetry& telemetry,
-            RegisterFn register_scenario) {
-    if (run_.watchdog_stall_s > 0.0) {
-      watchdog_.emplace(ckpt::Watchdog::Config{run_.watchdog_stall_s, {}});
-    }
-    if (run_.audit_every_s > 0.0) {
-      ckpt::AuditorConfig audit;
-      audit.period_s = run_.audit_every_s;
-      audit.action = ckpt::parse_audit_action(run_.audit_action);
-      audit.tolerance = run_.audit_tolerance;
-      audit.strict_vm_accounting = run_.audit_strict;
-      auditor_.emplace(sim, datacenter, audit);
-      auditor_->attach_controller(&controller);
-      if (watchdog_) auditor_->set_watchdog(&*watchdog_);
-    }
-    if (!run_.checkpoint_out.empty()) {
-      manager_.emplace(sim);
-      register_scenario(*manager_);
-      if (auditor_) {
-        manager_->add_section(
-            "auditor", [this](util::BinWriter& w) { auditor_->save_state(w); },
-            [this](util::BinReader& r) { auditor_->load_state(r); });
-        manager_->add_owner(sim::tag_owner::kAuditor,
-                            [this](const sim::EventTag& tag) {
-                              return auditor_->rebuild_event(tag);
-                            });
-      }
-      telemetry.register_checkpoint(*manager_, sim);
-    }
-    if (manager_ || auditor_) {
-      telemetry.attach_robustness([this] {
-        obs::RobustnessSample sample;
-        if (manager_) {
-          const auto& c = manager_->stats();
-          sample.checkpoints_written = c.checkpoints_written;
-          sample.snapshot_bytes_last = c.snapshot_bytes_last;
-          sample.save_wall_seconds_total = c.save_wall_seconds_total;
-        }
-        if (auditor_) {
-          const auto& a = auditor_->stats();
-          sample.audits_run = a.audits_run;
-          sample.audits_failed = a.audits_failed;
-          sample.heals_applied = a.heals_applied;
-        }
-        return sample;
-      });
-    }
-  }
-
-  /// Restore the snapshot (resume) or start the periodic services
-  /// (fresh run). Returns true when the run resumed.
-  bool launch(sim::Simulator& sim) {
-    if (resumed()) {
-      manager_->restore(*resume_path_);
-      manager_->set_output_path(run_.checkpoint_out);
-      std::printf("resumed from %s at t=%.0f s (%llu events executed)\n",
-                  resume_path_->c_str(), sim.now(),
-                  static_cast<unsigned long long>(sim.executed_events()));
-    } else {
-      if (manager_) {
-        manager_->start_periodic(run_.checkpoint_every_s, run_.checkpoint_out);
-      }
-      if (auditor_) auditor_->start();
-    }
-    if (watchdog_) watchdog_->arm();
-    return resumed();
-  }
-
-  void finish() {
-    if (watchdog_) watchdog_->disarm();
-    if (auditor_) {
-      const auto& a = auditor_->stats();
-      std::printf("audits            %llu run, %llu failed (action=%s)\n",
-                  static_cast<unsigned long long>(a.audits_run),
-                  static_cast<unsigned long long>(a.audits_failed),
-                  ckpt::to_string(auditor_->config().action));
-    }
-    if (manager_ && manager_->stats().checkpoints_written > 0) {
-      const auto& c = manager_->stats();
-      std::printf("checkpoints       %llu written (last %llu bytes, %.1f ms)\n",
-                  static_cast<unsigned long long>(c.checkpoints_written),
-                  static_cast<unsigned long long>(c.snapshot_bytes_last),
-                  1e3 * c.save_wall_seconds_last);
-    }
-  }
-
- private:
-  scenario::RunControl run_;
-  std::optional<std::string> resume_path_;
-  std::optional<ckpt::Watchdog> watchdog_;
-  std::optional<ckpt::RuntimeAuditor> auditor_;
-  std::optional<ckpt::CheckpointManager> manager_;
-};
 
 /// --events output format: compact binary records by default (decode with
 /// eventlog2csv); an explicit .csv suffix keeps the legacy text format.
@@ -572,10 +367,17 @@ int usage() {
       "    --checkpoint-every S snapshot cadence in sim seconds\n"
       "    --resume-from F      restore a snapshot and finish the run\n"
       "                         (bit-identical to the uninterrupted run),\n"
-      "                         snapshotting to --checkpoint-out or F\n"
+      "                         snapshotting to --checkpoint-out or F at\n"
+      "                         the snapshot's cadence or --checkpoint-every;\n"
+      "                         every other run-control and telemetry flag\n"
+      "                         may differ from the run that wrote F\n"
       "    --audit-every S      run the invariant auditor every S sim secs\n"
       "    --audit-action A     log | abort | heal on a failed audit\n"
       "    --watchdog-stall S   abort after S wall seconds without progress\n"
+      "                         (snapshots, audits and watchdog beats happen\n"
+      "                         at safe points between run slices: barriers\n"
+      "                         here; a cadence acts at the first safe point\n"
+      "                         at or after each of its multiples)\n"
       "    --serve-metrics P  live scrape endpoint on 127.0.0.1:P while the\n"
       "                     run executes (GET /metrics /progress /healthz;\n"
       "                     P=0 picks an ephemeral port, printed at start)\n"
@@ -591,8 +393,8 @@ int usage() {
       "    --threads N      worker threads, at most K (default: all cores)\n"
       "    --sync-interval S  epoch barrier period in sim seconds (300)\n"
       "  run-consolidation  assignment-only experiment (paper Sec. IV)\n"
-      "    --config FILE, --csv FILE, telemetry and robustness options as\n"
-      "    above; --watchdog-stall needs --audit-every here\n"
+      "    --config FILE, --csv FILE, telemetry and run-control options as\n"
+      "    above; its safe points are every 300 sim seconds\n"
       "  serve              campaign server: accept scenario submissions over\n"
       "                     HTTP and run them to completion (crash-tolerant;\n"
       "                     see DESIGN.md Sec. 16)\n"
@@ -800,8 +602,6 @@ int run_daily(Options& options) {
   auto config = load_config(options, scenario::load_daily_config);
   const auto csv_path = options.get("csv");
   const auto events_path = options.get("events");
-  // No watchdog-needs-audit coupling here: the coordinator beats the
-  // watchdog at every barrier whether or not audits are enabled.
   const auto resume_path = parse_run_control(options, config.run);
   par::ParConfig par;
   par.shards = options.get_uint("shards", 1).value_or(par.shards);
@@ -887,33 +687,86 @@ int run_daily(Options& options) {
 int run_consolidation(Options& options) {
   auto config = load_config(options, scenario::load_consolidation_config);
   const auto csv_path = options.get("csv");
+  const auto resume_path = parse_run_control(options, config.run);
   LivePlane live(options);
-  Robustness robustness(options, config.run);
-  CliTelemetry telemetry(options, live);
+  const TelemetryFlags telemetry_flags(options);
   options.reject_unknown();
   if (csv_path) require_writable(*csv_path);
 
   std::printf("consolidation run: %zu servers, %zu initial VMs, %.0f h\n",
               config.num_servers, config.initial_vms,
               config.horizon_s / sim::kHour);
-  scenario::ConsolidationScenario cons(config);
-  telemetry.attach(cons.simulator(), cons.datacenter(), cons.controller(),
-                   robustness.resumed());
-  robustness.wire(cons.simulator(), cons.datacenter(), cons.controller(),
-                  telemetry, [&cons](ckpt::CheckpointManager& manager) {
-                    cons.register_checkpoint(manager);
-                  });
-  const bool resumed_run = robustness.launch(cons.simulator());
-  live.begin(cons.simulator().now(), config.horizon_s,
-             cons.simulator().executed_events());
-  if (resumed_run) {
+  scenario::ConsolidationScenario cons(std::move(config));
+  const sim::Simulator& sim = cons.simulator();
+  if (resume_path) {
+    cons.restore_snapshot(*resume_path);
+    std::printf("resumed from %s at t=%.0f s (%llu events executed)\n",
+                resume_path->c_str(), sim.now(),
+                static_cast<unsigned long long>(sim.executed_events()));
+  }
+
+  // Telemetry observes the one calendar; it flushes, and the live plane
+  // publishes, at every safe point.
+  obs::MetricRegistry registry;
+  obs::Logger logger;
+  std::ofstream log_file;
+  std::optional<obs::ChromeTraceWriter> trace;
+  std::optional<obs::Instrumentation> instr;
+  if (telemetry_flags.any() || live.any()) {
+    if (telemetry_flags.trace_path) trace.emplace();
+    if (telemetry_flags.log_path) {
+      log_file.open(*telemetry_flags.log_path);
+      util::require(log_file.good(), "cannot open " + *telemetry_flags.log_path);
+      logger.set_sink(&log_file);
+    } else if (telemetry_flags.level != obs::LogLevel::kOff) {
+      logger.set_sink(&std::clog);
+    }
+    logger.set_level(telemetry_flags.level);
+    logger.set_clock([&sim] { return sim.now(); });
+    instr.emplace(registry, logger, trace ? &*trace : nullptr);
+    instr->attach_engine(sim);
+    instr->attach_datacenter(cons.datacenter());
+    instr->attach_controller(cons.controller());
+    if (!cons.config().run.checkpoint_out.empty() || cons.auditor() != nullptr) {
+      instr->attach_robustness([&cons] {
+        const ckpt::CheckpointManager::Stats& c = cons.checkpoints().stats();
+        obs::RobustnessSample sample{.checkpoints_written = c.checkpoints_written,
+                                     .snapshot_bytes_last = c.snapshot_bytes_last,
+                                     .save_wall_seconds_total =
+                                         c.save_wall_seconds_total};
+        if (const ckpt::RuntimeAuditor* auditor = cons.auditor()) {
+          sample.audits_run = auditor->stats().audits_run;
+          sample.audits_failed = auditor->stats().audits_failed;
+          sample.heals_applied = auditor->stats().heals_applied;
+        }
+        return sample;
+      });
+    }
+    live.start(registry, /*num_domains=*/1);
+    // The run executes on this thread; one domain covers it.
+    if (live.core() != nullptr) util::set_current_domain(&live.core()->domain(0));
+    cons.on_safe_point = [&](sim::SimTime t) {
+      instr->flush_now(t);
+      live.publish(t, sim.executed_events());
+      if (trace && live.profiler() != nullptr) {
+        live.profiler()->emit_counter_track(*trace, t);
+      }
+    };
+  }
+  live.begin(sim.now(), cons.config().horizon_s, sim.executed_events());
+
+  if (resume_path) {
     cons.run_resumed();
   } else {
     cons.run();
   }
-  robustness.finish();
-  live.finish(cons.simulator().now(), cons.simulator().executed_events());
-  telemetry.finish(cons.simulator().now());
+  const sim::SimTime horizon = cons.config().horizon_s;
+  if (instr) instr->finalize(horizon);
+  if (trace && live.profiler() != nullptr) {
+    live.profiler()->emit_counter_track(*trace, horizon);
+  }
+  live.finish(horizon, sim.executed_events());
+
   const auto& d = cons.datacenter();
   std::printf("final: %zu active / %zu hibernated; arrivals=%llu departures=%llu "
               "rejections=%llu\n",
@@ -922,7 +775,28 @@ int run_consolidation(Options& options) {
               static_cast<unsigned long long>(cons.open_system().total_arrivals()),
               static_cast<unsigned long long>(cons.open_system().total_departures()),
               static_cast<unsigned long long>(cons.open_system().total_rejections()));
+  if (const ckpt::RuntimeAuditor* auditor = cons.auditor()) {
+    std::printf("audits            %llu run, %llu failed (action=%s)\n",
+                static_cast<unsigned long long>(auditor->stats().audits_run),
+                static_cast<unsigned long long>(auditor->stats().audits_failed),
+                ckpt::to_string(auditor->config().action));
+  }
+  if (const auto& c = cons.checkpoints().stats(); c.checkpoints_written > 0) {
+    std::printf("checkpoints       %llu written (last %llu bytes, %.1f ms)\n",
+                static_cast<unsigned long long>(c.checkpoints_written),
+                static_cast<unsigned long long>(c.snapshot_bytes_last),
+                1e3 * c.save_wall_seconds_last);
+  }
   if (csv_path) write_series_csv(*csv_path, cons.collector().samples());
+  if (instr) {
+    telemetry_flags.write(registry,
+                          [&trace](std::ostream& out) { trace->write(out); });
+    if (telemetry_flags.log_path) {
+      std::printf("log written to %s (%llu lines)\n",
+                  telemetry_flags.log_path->c_str(),
+                  static_cast<unsigned long long>(logger.lines_written()));
+    }
+  }
   return 0;
 }
 

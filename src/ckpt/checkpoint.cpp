@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "ecocloud/ckpt/snapshot_io.hpp"
-#include "ecocloud/sim/event_tag.hpp"
 #include "ecocloud/util/phase_profiler.hpp"
 #include "ecocloud/util/validation.hpp"
 
@@ -104,12 +103,6 @@ void require_config_digest(const Snapshot& snapshot, const std::string& digest,
   }
 }
 
-CheckpointManager::CheckpointManager(sim::Simulator& simulator) : sim_(simulator) {
-  // The manager owns its own periodic event's rebuild.
-  add_owner(sim::tag_owner::kCheckpoint,
-            [this](const sim::EventTag& tag) { return rebuild_event(tag); });
-}
-
 void CheckpointManager::add_section(std::string name, SaveFn save, LoadFn load) {
   util::require(static_cast<bool>(save) && static_cast<bool>(load),
                 "CheckpointManager: section callbacks must be non-empty");
@@ -144,8 +137,8 @@ const CheckpointManager::Owner& CheckpointManager::owner_for(
   throw SnapshotError(
       "snapshot: calendar entry owned by unregistered participant " +
       std::to_string(tag.owner) +
-      " — the resumed run must enable the same subsystems (faults, "
-      "telemetry, auditing) as the run that wrote the snapshot");
+      " — the resumed run must enable the same subsystems (faults) as the "
+      "run that wrote the snapshot");
 }
 
 void CheckpointManager::collect(Snapshot& snapshot, const std::string& prefix) {
@@ -175,7 +168,6 @@ void CheckpointManager::save(const std::string& path) {
   stats_.snapshot_bytes_last = total;
   stats_.save_wall_seconds_last = std::chrono::duration<double>(t1 - t0).count();
   stats_.save_wall_seconds_total += stats_.save_wall_seconds_last;
-  if (on_saved) on_saved(path);
 }
 
 void CheckpointManager::restore_from(const Snapshot& snapshot,
@@ -251,31 +243,6 @@ void CheckpointManager::restore(const std::string& path) {
   }
 
   restore_from(snapshot, "", path);
-}
-
-void CheckpointManager::start_periodic(sim::SimTime period_s, std::string path) {
-  util::require(period_s > 0.0, "CheckpointManager: period must be > 0");
-  util::require(!path.empty(), "CheckpointManager: empty checkpoint path");
-  util::require(!restored_,
-                "CheckpointManager: a resumed run re-arms its checkpoint "
-                "event from the snapshot; do not call start_periodic");
-  path_ = std::move(path);
-  sim_.schedule_periodic(period_s,
-                         sim::EventTag{sim::tag_owner::kCheckpoint, kEvCheckpoint,
-                                       0, 0},
-                         [this] { periodic_tick(); }, period_s);
-}
-
-sim::Simulator::Callback CheckpointManager::rebuild_event(const sim::EventTag& tag) {
-  if (tag.kind == kEvCheckpoint) return [this] { periodic_tick(); };
-  throw SnapshotError("snapshot: unknown checkpoint event kind " +
-                      std::to_string(tag.kind));
-}
-
-void CheckpointManager::periodic_tick() {
-  // The event always runs (keeping seq consumption identical across
-  // resume chains); writing is skipped only when no output is configured.
-  if (!path_.empty()) save(path_);
 }
 
 }  // namespace ecocloud::ckpt

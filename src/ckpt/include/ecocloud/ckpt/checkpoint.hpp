@@ -26,11 +26,10 @@
 /// configuration, because immutable state (fleet, traces, parameters) is
 /// reconstructed from the config rather than stored.
 ///
-/// The periodic checkpoint event is itself part of the calendar, so its
-/// seq-number consumption is identical between an uninterrupted run and
-/// any chain of resumes — cadence never perturbs determinism. With no
-/// checkpointing requested the manager schedules nothing and the run is
-/// bit-identical to a build without this subsystem.
+/// The manager schedules nothing: drivers call save() at safe points —
+/// sim times between two run slices, when no event is running (DESIGN.md
+/// Sec. 11) — so neither the cadence nor checkpointing at all can perturb
+/// the run.
 
 #include <cstdint>
 #include <functional>
@@ -54,13 +53,10 @@ void require_config_digest(const Snapshot& snapshot, const std::string& digest,
 
 class CheckpointManager {
  public:
-  /// Snapshot-stable event kinds (tag_owner::kCheckpoint). Append only.
-  enum EventKind : std::uint16_t { kEvCheckpoint = 1 };
-
   using SaveFn = std::function<void(util::BinWriter&)>;
   using LoadFn = std::function<void(util::BinReader&)>;
 
-  explicit CheckpointManager(sim::Simulator& simulator);
+  explicit CheckpointManager(sim::Simulator& simulator) : sim_(simulator) {}
 
   /// Register a state section. Sections are saved and restored in
   /// registration order; names must be unique and stable across builds.
@@ -80,6 +76,7 @@ class CheckpointManager {
 
   /// Write a snapshot of the current state to \p path (atomic
   /// write-rename; the previous snapshot survives a crash mid-write).
+  /// Call only at a safe point, never from inside an event.
   void save(const std::string& path);
 
   /// Restore a snapshot into a freshly constructed scenario: all
@@ -104,22 +101,6 @@ class CheckpointManager {
   /// Number of registered sections (excluding meta and the engine).
   [[nodiscard]] std::size_t num_sections() const { return sections_.size(); }
 
-  /// Schedule the periodic snapshot event (sim-time cadence). Do NOT call
-  /// on a resumed run: the event comes back with the imported calendar,
-  /// which is exactly what keeps seq numbers identical.
-  void start_periodic(sim::SimTime period_s, std::string path);
-
-  /// Default output path for checkpoint events restored from a snapshot
-  /// (the original run's --checkpoint-out is not stored). Empty disables
-  /// writing while keeping the event's seq consumption intact.
-  void set_output_path(std::string path) { path_ = std::move(path); }
-
-  /// Rebuild callback for the manager's own periodic event.
-  [[nodiscard]] sim::Simulator::Callback rebuild_event(const sim::EventTag& tag);
-
-  /// Test hook: called after every successful save() with the path.
-  std::function<void(const std::string&)> on_saved;
-
   /// Observability of the checkpoint path itself.
   struct Stats {
     std::uint64_t checkpoints_written = 0;
@@ -128,8 +109,6 @@ class CheckpointManager {
     double save_wall_seconds_total = 0.0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-
-  [[nodiscard]] bool restored() const { return restored_; }
 
  private:
   struct Section {
@@ -142,14 +121,12 @@ class CheckpointManager {
     sim::Simulator::BindFn bind;
   };
 
-  void periodic_tick();
   [[nodiscard]] const Owner& owner_for(const sim::EventTag& tag) const;
 
   sim::Simulator& sim_;
   std::vector<Section> sections_;
   std::vector<std::pair<std::uint16_t, Owner>> owners_;
   std::string digest_;
-  std::string path_;
   Stats stats_;
   bool restored_ = false;
 };

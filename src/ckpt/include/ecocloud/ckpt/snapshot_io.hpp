@@ -44,7 +44,10 @@ class SnapshotError : public std::runtime_error {
 inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'O', 'C', 'K', 'P', 'T', '1'};
 /// Version 2: the sharded coordinator section stores the checkpoint
 /// cadence, and a shard's event log follows its fault sections.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// Version 3: consolidation snapshots store the checkpoint cadence
+/// ("run_control") and lose the "auditor" section; no calendar carries
+/// telemetry, checkpoint or audit events any more.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Identifies everything the byte layout silently depends on. Snapshots
 /// only restore into a process with an identical tag.

@@ -6,9 +6,9 @@
 /// The simulator is single-threaded and cooperative: if a callback
 /// livelocks (or the calendar degenerates into a zero-advance event
 /// storm), the process spins forever with no output. Watchdog runs a
-/// tiny monitor thread that expects a beat() — delivered from periodic
-/// in-simulation events such as the auditor or checkpoint tick — at
-/// least every stall_seconds of *wall* time. A missed deadline emits a
+/// tiny monitor thread that expects a beat() — delivered at every safe
+/// point between run slices (scenario::SafePoints) — at least every
+/// stall_seconds of *wall* time. A missed deadline emits a
 /// diagnostic report (last observed sim time, executed-event count, and
 /// how long the loop has been silent) to stderr and optionally a report
 /// file, then aborts so CI surfaces a backtrace instead of a timeout.

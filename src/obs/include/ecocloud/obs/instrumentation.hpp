@@ -20,11 +20,9 @@
 ///    trace spans but never draw from any RNG and never schedule
 ///    simulation work.
 ///
-/// The optional periodic flush (start_flush) is the one place telemetry
-/// enters the event queue. Its event executes no simulation logic, so it
-/// shifts sequence numbers uniformly without reordering any decision;
-/// executed_events() differs between instrumented and bare runs, the
-/// decision event stream does not.
+/// Telemetry never enters the event queue: drivers call flush_now() at
+/// their safe points (sim times between two run slices), so even
+/// executed_events() is the same with and without telemetry.
 
 #include <cstdint>
 #include <functional>
@@ -71,9 +69,6 @@ struct ShardContext {
 
 class Instrumentation {
  public:
-  /// Snapshot-stable event kinds (tag_owner::kObsFlush). Append only.
-  enum EventKind : std::uint16_t { kEvFlush = 1 };
-
   /// \p registry and \p logger must outlive the Instrumentation; \p trace
   /// may be null to disable timeline capture. None of them are owned.
   Instrumentation(MetricRegistry& registry, Logger& logger,
@@ -103,30 +98,10 @@ class Instrumentation {
   /// describe the whole run, so they never carry a shard label.
   void attach_robustness(std::function<RobustnessSample()> sample);
 
-  /// Schedule a periodic sim-time hook that flushes the logger and, when
-  /// tracing, samples fleet counters onto the timeline. The event runs
-  /// no simulation logic (see file comment for the determinism argument).
-  /// Do not call on a resumed run: the tagged flush event comes back with
-  /// the imported calendar (register make_flush_callback for it).
-  void start_flush(sim::Simulator& simulator, sim::SimTime period_s);
-
-  /// The flush event's body, for checkpoint restore (tag_owner::kObsFlush).
-  [[nodiscard]] sim::Simulator::Callback make_flush_callback(
-      sim::Simulator& simulator);
-
-  /// Flush the logger and sample the trace counters right now. The
-  /// sharded coordinator drives this from its barrier hook instead of
-  /// start_flush: no calendar event means no seq perturbation, so the
-  /// telemetry-off bit-identity holds exactly (not just modulo seq).
+  /// Flush the logger and sample the trace counters. Drivers call this at
+  /// safe points (ShardedDailyRun::on_barrier,
+  /// ConsolidationScenario::on_safe_point).
   void flush_now(sim::SimTime now);
-
-  /// Extra work to run at the end of every flush (periodic event or
-  /// manual flush_now): the live observability plane publishes its
-  /// /metrics and /progress snapshots here. Survives checkpoint resume —
-  /// the rebuilt flush callback goes through flush_now too.
-  void set_flush_hook(std::function<void(sim::SimTime)> hook) {
-    flush_hook_ = std::move(hook);
-  }
 
   /// Close open trace spans (server states, in-flight migrations) at
   /// \p end and flush the logger. Call once, after the run.
@@ -152,7 +127,6 @@ class Instrumentation {
   Logger& logger_;
   ChromeTraceWriter* trace_;
   ShardContext shard_;
-  std::function<void(sim::SimTime)> flush_hook_;
 
   const dc::DataCenter* dc_ = nullptr;
 

@@ -117,7 +117,7 @@ class Logger {
     log(LogLevel::kError, component, msg, fields);
   }
 
-  /// Flush the sink (periodic flush hook; long runs stay tail -f-able).
+  /// Flush the sink (at every safe point; long runs stay tail -f-able).
   void flush();
 
   /// Records written since construction (tests, flush diagnostics).

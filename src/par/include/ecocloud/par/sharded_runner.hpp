@@ -42,7 +42,6 @@
 namespace ecocloud::ckpt {
 class CheckpointManager;
 class RuntimeAuditor;
-class Watchdog;
 }  // namespace ecocloud::ckpt
 
 namespace ecocloud::par {
@@ -103,9 +102,9 @@ class ShardedDailyRun {
   ShardedDailyRun& operator=(const ShardedDailyRun&) = delete;
 
   /// Deploy all VMs at t=0 (skipped on a resumed run) and simulate to the
-  /// horizon, honoring config.run: barrier-aligned checkpoints (written to
-  /// config.run.checkpoint_out only), audits, and watchdog beats. Call
-  /// once.
+  /// horizon, honoring config.run at every barrier (a safe point, see
+  /// scenario::SafePoints): audits, checkpoints (written to
+  /// config.run.checkpoint_out only), and watchdog beats. Call once.
   void run();
 
   /// Write one atomic snapshot of the whole sharded run (coordinator
@@ -126,10 +125,9 @@ class ShardedDailyRun {
 
   [[nodiscard]] bool resumed() const { return resumed_; }
 
-  /// Called after each barrier's hand-off/audit/checkpoint work with the
-  /// barrier time — the telemetry layer flushes its per-shard streams
-  /// here instead of scheduling calendar events (which would perturb seq
-  /// numbers and break the telemetry-off bit-identity).
+  /// Called after each barrier's hand-off and safe-point duties with the
+  /// barrier time: the telemetry layer flushes its per-shard streams and
+  /// the live plane publishes here.
   std::function<void(sim::SimTime)> on_barrier;
 
   /// Called after every successful snapshot write with the path.
@@ -195,12 +193,9 @@ class ShardedDailyRun {
   /// Digest stored in snapshots: the daily digest plus shard count and
   /// sync interval, so snapshots only restore into the same trajectory.
   [[nodiscard]] std::string config_digest() const;
-  /// Whether barriers write snapshots: an output path and a cadence.
-  [[nodiscard]] bool checkpointing() const {
-    return !config_.run.checkpoint_out.empty() && checkpoint_every_s_ > 0.0;
-  }
-  /// Audits, checkpoint, watchdog beat, and the on_barrier hook — runs
-  /// serially after the hand-off with t_ already at the barrier time.
+  /// The safe-point duties (audits, checkpoint, watchdog beat) and the
+  /// on_barrier hook — runs serially after the hand-off with t_ already at
+  /// the barrier time.
   void at_barrier();
   void run_audits();
   /// Cross-shard invariants: unique trace-row ownership, fleet capacity
@@ -224,13 +219,9 @@ class ShardedDailyRun {
   /// Operability wiring (built on demand from config_.run).
   std::vector<std::unique_ptr<ckpt::CheckpointManager>> managers_;
   std::vector<std::unique_ptr<ckpt::RuntimeAuditor>> auditors_;
-  std::unique_ptr<ckpt::Watchdog> watchdog_;
   std::vector<double> last_energy_;  ///< per shard, for the monotonicity check
-  /// Checkpoint cadence: config.run's, or on a resumed run without one,
-  /// the cadence stored in the snapshot. Persisted in every snapshot.
-  sim::SimTime checkpoint_every_s_ = 0.0;
-  double next_ckpt_due_ = 0.0;
-  double next_audit_due_ = 0.0;
+  /// Due times, the checkpoint cadence every snapshot stores, the watchdog.
+  scenario::SafePoints safe_points_;
 
   /// Coordinator clock: the last completed barrier time. Persisted, so a
   /// resumed run continues the epoch loop exactly where the snapshot was

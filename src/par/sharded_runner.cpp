@@ -11,7 +11,6 @@
 #include "ecocloud/ckpt/auditor.hpp"
 #include "ecocloud/ckpt/checkpoint.hpp"
 #include "ecocloud/ckpt/snapshot_io.hpp"
-#include "ecocloud/ckpt/watchdog.hpp"
 #include "ecocloud/core/migration.hpp"
 #include "ecocloud/metrics/event_log_binary.hpp"
 #include "ecocloud/par/event_merge.hpp"
@@ -24,7 +23,8 @@ namespace ecocloud::par {
 ShardedDailyRun::ShardedDailyRun(scenario::DailyConfig config, ParConfig par)
     : config_(std::move(config)),
       par_(std::move(par)),
-      plan_(par_.shards, config_.fleet.num_servers, config_.num_vms) {
+      plan_(par_.shards, config_.fleet.num_servers, config_.num_vms),
+      safe_points_(config_.run) {
   config_.params.validate();
   config_.faults.validate();
   util::require(par_.sync_interval_s > 0.0,
@@ -33,7 +33,6 @@ ShardedDailyRun::ShardedDailyRun(scenario::DailyConfig config, ParConfig par)
                 "ShardedDailyRun: rack topology needs a single shard "
                 "(invitations would need cross-shard rack scoping)");
   warmup_done_ = config_.warmup_s <= 0.0;
-  checkpoint_every_s_ = config_.run.checkpoint_every_s;
 
   // The traces are generated once from the bare seed — exactly as
   // DailyScenario does — so the workload is a function of the config
@@ -104,7 +103,7 @@ void ShardedDailyRun::save_snapshot(const std::string& path) {
     // clock and the cross-shard accounting.
     util::BinWriter w;
     w.f64(t_);
-    w.f64(checkpoint_every_s_);
+    w.f64(safe_points_.checkpoint_every_s());
     w.boolean(warmup_done_);
     w.u64(stats_.barriers);
     w.u64(stats_.stranded_wishes);
@@ -152,8 +151,7 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
   {
     util::BinReader r(coord->payload);
     t_ = r.f64();
-    const sim::SimTime stored_every_s = r.f64();
-    if (checkpoint_every_s_ <= 0.0) checkpoint_every_s_ = stored_every_s;
+    safe_points_.restore_cadence(r.f64());
     warmup_done_ = r.boolean();
     stats_.barriers = r.u64();
     stats_.stranded_wishes = r.u64();
@@ -211,22 +209,16 @@ void ShardedDailyRun::run() {
   // none of it schedules calendar events — so enabling checkpoints,
   // audits, or the watchdog never perturbs the simulated trajectory.
   const scenario::RunControl& rc = config_.run;
-  if (checkpointing()) {
-    ensure_managers();
-    next_ckpt_due_ =
-        (std::floor(t_ / checkpoint_every_s_) + 1.0) * checkpoint_every_s_;
-  }
+  if (safe_points_.checkpointing()) ensure_managers();
   if (rc.audit_every_s > 0.0) {
-    const ckpt::AuditAction action = ckpt::parse_audit_action(rc.audit_action);
+    // Handed-off VMs are departed (unowned) on their source shard, so
+    // strict ownership only holds for K=1.
+    const ckpt::AuditorConfig ac{
+        .action = ckpt::parse_audit_action(rc.audit_action),
+        .tolerance = rc.audit_tolerance,
+        .strict_vm_accounting = rc.audit_strict && K == 1};
     auditors_.reserve(K);
     for (auto& shard : shards_) {
-      ckpt::AuditorConfig ac;
-      ac.period_s = 0.0;  // manual mode: the coordinator drives run_audit
-      ac.action = action;
-      ac.tolerance = rc.audit_tolerance;
-      // Handed-off VMs are departed (unowned) on their source shard, so
-      // strict ownership only holds for K=1.
-      ac.strict_vm_accounting = rc.audit_strict && K == 1;
       auto auditor = std::make_unique<ckpt::RuntimeAuditor>(
           shard->simulator(), shard->datacenter(), ac);
       auditor->attach_controller(&shard->controller());
@@ -236,12 +228,6 @@ void ShardedDailyRun::run() {
       auditors_.push_back(std::move(auditor));
     }
     last_energy_.assign(K, 0.0);
-    next_audit_due_ =
-        (std::floor(t_ / rc.audit_every_s) + 1.0) * rc.audit_every_s;
-  }
-  if (rc.watchdog_stall_s > 0.0) {
-    watchdog_ = std::make_unique<ckpt::Watchdog>(
-        ckpt::Watchdog::Config{rc.watchdog_stall_s, {}});
   }
 
   if (!resumed_) {
@@ -274,7 +260,7 @@ void ShardedDailyRun::run() {
     for (auto& shard : shards_) shard->start_services();
   }
 
-  if (watchdog_) watchdog_->arm();
+  safe_points_.begin(t_);
 
   // Epoch loop. Barrier times are multiples of the sync interval clipped
   // to the warmup boundary and the horizon, so the accounting reset and
@@ -350,7 +336,7 @@ void ShardedDailyRun::run() {
     t_ = next;
     at_barrier();
   }
-  if (watchdog_) watchdog_->disarm();
+  safe_points_.end();
   for (auto& shard : shards_) shard->finish(horizon);
 
   for (auto& shard : shards_) {
@@ -519,23 +505,12 @@ std::vector<metrics::Sample> ShardedDailyRun::merged_samples() const {
 }
 
 void ShardedDailyRun::at_barrier() {
-  if (!auditors_.empty() && t_ >= next_audit_due_) {
-    run_audits();
-    next_audit_due_ = (std::floor(t_ / config_.run.audit_every_s) + 1.0) *
-                      config_.run.audit_every_s;
+  std::uint64_t executed = 0;
+  for (const auto& shard : shards_) {
+    executed += shard->simulator().executed_events();
   }
-  if (checkpointing() && t_ >= next_ckpt_due_) {
-    save_snapshot(config_.run.checkpoint_out);
-    next_ckpt_due_ =
-        (std::floor(t_ / checkpoint_every_s_) + 1.0) * checkpoint_every_s_;
-  }
-  if (watchdog_) {
-    std::uint64_t executed = 0;
-    for (const auto& shard : shards_) {
-      executed += shard->simulator().executed_events();
-    }
-    watchdog_->beat(executed, t_);
-  }
+  safe_points_.visit(t_, executed, [this] { run_audits(); },
+                     [this] { save_snapshot(config_.run.checkpoint_out); });
   if (on_barrier) on_barrier(t_);
 }
 

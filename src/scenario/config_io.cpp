@@ -104,23 +104,18 @@ void load_run_control(const util::KeyValueConfig& kv, RunControl& run) {
   run.checkpoint_out = kv.get_string("checkpoint.out", run.checkpoint_out);
   run.checkpoint_every_s =
       kv.get_double("checkpoint.every_s", run.checkpoint_every_s);
-  util::require(run.checkpoint_every_s >= 0.0,
-                "config: 'checkpoint.every_s' must be >= 0");
   util::require(run.checkpoint_every_s == 0.0 || !run.checkpoint_out.empty(),
                 "config: 'checkpoint.every_s' needs 'checkpoint.out'");
   run.audit_every_s = kv.get_double("audit.every_s", run.audit_every_s);
-  util::require(run.audit_every_s >= 0.0, "config: 'audit.every_s' must be >= 0");
   run.audit_action = kv.get_string("audit.action", run.audit_action);
-  util::require(run.audit_action == "log" || run.audit_action == "abort" ||
-                    run.audit_action == "heal",
-                "config: 'audit.action' must be log, abort, or heal");
   run.audit_tolerance = kv.get_double("audit.tolerance", run.audit_tolerance);
   util::require(run.audit_tolerance >= 0.0,
                 "config: 'audit.tolerance' must be >= 0");
   run.audit_strict = kv.get_bool("audit.strict", run.audit_strict);
   run.watchdog_stall_s = kv.get_double("watchdog.stall_s", run.watchdog_stall_s);
-  util::require(run.watchdog_stall_s >= 0.0,
-                "config: 'watchdog.stall_s' must be >= 0");
+  // The command re-checks once its flags are merged and it knows whether
+  // the run resumes (a resume may take the snapshot's cadence).
+  run.validate(/*resuming=*/true);
 }
 
 void load_workload(const util::KeyValueConfig& kv, trace::WorkloadConfig& workload) {

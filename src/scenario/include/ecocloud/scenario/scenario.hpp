@@ -13,11 +13,15 @@
 ///    initial VMs spread randomly (10-30% per-server load), migrations
 ///    disabled, open arrivals/departures, 18 hours starting at midnight.
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "ecocloud/baseline/centralized_controller.hpp"
+#include "ecocloud/ckpt/auditor.hpp"
+#include "ecocloud/ckpt/checkpoint.hpp"
+#include "ecocloud/ckpt/watchdog.hpp"
 #include "ecocloud/net/topology.hpp"
 #include "ecocloud/core/controller.hpp"
 #include "ecocloud/core/open_system.hpp"
@@ -27,25 +31,23 @@
 #include "ecocloud/trace/rate_estimator.hpp"
 #include "ecocloud/trace/trace_set.hpp"
 
-namespace ecocloud::ckpt {
-class CheckpointManager;
-}
-
 namespace ecocloud::scenario {
 
-/// Robustness knobs shared by both experiments: periodic crash-safe
-/// checkpoints, the runtime invariant auditor, and the wall-clock
-/// watchdog. Parsed from `[checkpoint]` / `[audit]` / `[watchdog]`
-/// config sections (config_io) and overridable from the CLI. Not part
-/// of the config digest: a snapshot carries its own checkpoint/audit
-/// events, so resuming with different cadences or output paths is safe.
+/// Robustness knobs shared by both experiments: crash-safe checkpoints,
+/// the runtime invariant auditor, and the wall-clock watchdog. Parsed from
+/// `[checkpoint]` / `[audit]` / `[watchdog]` config sections (config_io)
+/// and overridable from the CLI. Drivers honour them only at safe points
+/// (SafePoints), never through calendar events, so no setting here changes
+/// a run's trajectory. Not part of the config digest: a resume may change
+/// any of them; a snapshot stores only its checkpoint cadence.
 struct RunControl {
-  /// Snapshot file written every checkpoint_every_s of sim time. Empty
-  /// disables periodic checkpointing.
+  /// Snapshot file written at the first safe point at or after every
+  /// multiple of checkpoint_every_s of sim time. Empty disables
+  /// checkpointing.
   std::string checkpoint_out;
   sim::SimTime checkpoint_every_s = 0.0;
 
-  /// Invariant-audit cadence; 0 disables the auditor.
+  /// Invariant-audit cadence (same due-time rule); 0 disables the auditor.
   sim::SimTime audit_every_s = 0.0;
   /// "log" | "abort" | "heal" (ckpt::parse_audit_action).
   std::string audit_action = "log";
@@ -56,9 +58,57 @@ struct RunControl {
   /// legitimately unowned, so its loader defaults this to false.
   bool audit_strict = true;
 
-  /// Wall-clock seconds of event-loop silence before the watchdog aborts
+  /// Wall-clock seconds without a safe point before the watchdog aborts
   /// with a diagnostic; 0 disables the watchdog.
   double watchdog_stall_s = 0.0;
+
+  /// Throw std::invalid_argument naming the flag and config key unless
+  /// every cadence and the stall are finite and >= 0, the audit action is
+  /// known, and a checkpoint_out has a cadence > 0 — which a \p resuming
+  /// run may leave at 0 to keep its snapshot's.
+  void validate(bool resuming) const;
+};
+
+/// Period of ConsolidationScenario's safe points: the 5-minute trace tick.
+inline constexpr sim::SimTime kSafePointPeriodS = 300.0;
+
+/// A driver's RunControl duties, done only at its safe points: sim times
+/// between two run slices, when no event is running (ShardedDailyRun's
+/// barriers, ConsolidationScenario's kSafePointPeriodS ticks). Holds the
+/// due-time rule, the checkpoint cadence snapshots store, and the watchdog.
+class SafePoints {
+ public:
+  explicit SafePoints(const RunControl& run)
+      : run_(run), checkpoint_every_s_(run.checkpoint_every_s) {}
+
+  /// The checkpoint cadence in force; every snapshot stores it.
+  [[nodiscard]] sim::SimTime checkpoint_every_s() const {
+    return checkpoint_every_s_;
+  }
+  /// On resume: keep the snapshot's cadence unless the RunControl set one.
+  void restore_cadence(sim::SimTime stored_every_s);
+  [[nodiscard]] bool checkpointing() const {
+    return !run_.checkpoint_out.empty() && checkpoint_every_s_ > 0.0;
+  }
+
+  /// At the run's first safe point \p now (0, or a resumed run's snapshot
+  /// time): start the due clocks and arm the watchdog when configured.
+  void begin(sim::SimTime now);
+  /// Safe point \p t: \p audit if an audit is due, \p checkpoint if a
+  /// checkpoint is due, then a watchdog beat. A duty is due at the first
+  /// safe point at or after each multiple of its cadence.
+  void visit(sim::SimTime t, std::uint64_t executed_events,
+             const std::function<void()>& audit,
+             const std::function<void()>& checkpoint);
+  /// The run is over: disarm the watchdog.
+  void end();
+
+ private:
+  RunControl run_;
+  sim::SimTime checkpoint_every_s_;
+  sim::SimTime next_audit_ = 0.0;
+  sim::SimTime next_checkpoint_ = 0.0;
+  std::unique_ptr<ckpt::Watchdog> watchdog_;
 };
 
 /// Fleet mix of the Sec. III experiment.
@@ -246,7 +296,8 @@ struct ConsolidationConfig {
   std::uint64_t seed = 19731123;
   /// Metrics sampling period (finer than 30 min to resolve the transient).
   sim::SimTime sample_period_s = 900.0;
-  /// Checkpoint/audit/watchdog wiring (not part of the config digest).
+  /// Checkpoint/audit/watchdog wiring, honoured at safe points (not part
+  /// of the config digest).
   RunControl run;
 };
 
@@ -255,18 +306,38 @@ class ConsolidationScenario {
  public:
   explicit ConsolidationScenario(ConsolidationConfig config);
 
+  /// start() + run_resumed().
   void run();
 
-  /// Finish the horizon of a run restored from a snapshot (see
-  /// DailyScenario::run_resumed).
+  /// From the current time (start()'s, or a restored snapshot's) run
+  /// slices to every kSafePointPeriodS safe point, doing the config.run
+  /// duties (SafePoints) and then on_safe_point at each, and finish().
   void run_resumed();
 
-  /// Register state sections and event owners with a checkpoint manager
-  /// (datacenter, controller, trace driver, open system, rate estimator,
-  /// collector) plus the config digest.
-  void register_checkpoint(ckpt::CheckpointManager& manager);
+  /// Setup at t = 0 (DailyScenario::start): every server active, the
+  /// initial VM population spread over them, drivers and collector started.
+  void start();
+  /// Advance to min(\p until, horizon); true once the horizon is reached.
+  bool run_slice(sim::SimTime until);
+  /// Advance idle accounting to the horizon, after the last run_slice().
+  void finish();
 
-  [[nodiscard]] std::string config_digest() const;
+  /// Restore a snapshot into this freshly built scenario; run_resumed()
+  /// then finishes the run bit-identically.
+  void restore_snapshot(const std::string& path) { manager_.restore(path); }
+
+  /// Called at every safe point after the config.run duties: the CLI
+  /// flushes telemetry and publishes the live plane here.
+  std::function<void(sim::SimTime)> on_safe_point;
+
+  /// The manager behind config.run's checkpoints and restore_snapshot();
+  /// the auditor, null unless config.run.audit_every_s > 0.
+  [[nodiscard]] const ckpt::CheckpointManager& checkpoints() const {
+    return manager_;
+  }
+  [[nodiscard]] const ckpt::RuntimeAuditor* auditor() const {
+    return auditor_.get();
+  }
 
   [[nodiscard]] const ConsolidationConfig& config() const { return config_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
@@ -287,6 +358,12 @@ class ConsolidationScenario {
   [[nodiscard]] double mean_vm_share() const;
 
  private:
+  /// Register state sections and event owners with manager_ (datacenter,
+  /// controller, trace driver, open system, rate estimator, collector,
+  /// run_control: the checkpoint cadence) plus the config digest.
+  void register_checkpoint();
+  [[nodiscard]] std::string config_digest() const;
+
   ConsolidationConfig config_;
   sim::Simulator sim_;
   std::unique_ptr<dc::DataCenter> dc_;
@@ -296,6 +373,9 @@ class ConsolidationScenario {
   std::unique_ptr<core::OpenSystemDriver> open_;
   std::unique_ptr<trace::RateEstimator> rates_;
   std::unique_ptr<metrics::MetricsCollector> collector_;
+  SafePoints safe_points_;
+  ckpt::CheckpointManager manager_;
+  std::unique_ptr<ckpt::RuntimeAuditor> auditor_;
 };
 
 }  // namespace ecocloud::scenario

@@ -1,9 +1,10 @@
 #include "ecocloud/scenario/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
-#include "ecocloud/ckpt/checkpoint.hpp"
 #include "ecocloud/util/phase_profiler.hpp"
 #include "ecocloud/util/validation.hpp"
 
@@ -82,7 +83,63 @@ void digest_faults(std::string& out, const faults::FaultParams& f) {
   }
 }
 
+/// The first multiple of \p every_s after \p t.
+sim::SimTime next_multiple(sim::SimTime t, sim::SimTime every_s) {
+  return (std::floor(t / every_s) + 1.0) * every_s;
+}
+
 }  // namespace
+
+void RunControl::validate(bool resuming) const {
+  for (const auto& [value, name] :
+       {std::pair{checkpoint_every_s, "--checkpoint-every / 'checkpoint.every_s'"},
+        std::pair{audit_every_s, "--audit-every / 'audit.every_s'"},
+        std::pair{watchdog_stall_s, "--watchdog-stall / 'watchdog.stall_s'"}}) {
+    util::require(std::isfinite(value) && value >= 0.0,
+                  std::string(name) + " must be a finite number of seconds >= 0");
+  }
+  try {
+    (void)ckpt::parse_audit_action(audit_action);
+  } catch (const std::invalid_argument& error) {
+    throw std::invalid_argument(std::string("--audit-action / 'audit.action': ") +
+                                error.what());
+  }
+  util::require(checkpoint_out.empty() || checkpoint_every_s > 0.0 || resuming,
+                "--checkpoint-out / 'checkpoint.out' needs --checkpoint-every / "
+                "'checkpoint.every_s' > 0");
+}
+
+void SafePoints::restore_cadence(sim::SimTime stored_every_s) {
+  if (checkpoint_every_s_ <= 0.0) checkpoint_every_s_ = stored_every_s;
+}
+
+void SafePoints::begin(sim::SimTime now) {
+  if (run_.audit_every_s > 0.0) next_audit_ = next_multiple(now, run_.audit_every_s);
+  if (checkpointing()) next_checkpoint_ = next_multiple(now, checkpoint_every_s_);
+  if (run_.watchdog_stall_s > 0.0) {
+    watchdog_ = std::make_unique<ckpt::Watchdog>(
+        ckpt::Watchdog::Config{run_.watchdog_stall_s, {}});
+    watchdog_->arm();
+  }
+}
+
+void SafePoints::visit(sim::SimTime t, std::uint64_t executed_events,
+                       const std::function<void()>& audit,
+                       const std::function<void()>& checkpoint) {
+  if (run_.audit_every_s > 0.0 && t >= next_audit_) {
+    audit();
+    next_audit_ = next_multiple(t, run_.audit_every_s);
+  }
+  if (checkpointing() && t >= next_checkpoint_) {
+    checkpoint();
+    next_checkpoint_ = next_multiple(t, checkpoint_every_s_);
+  }
+  if (watchdog_) watchdog_->beat(executed_events, t);
+}
+
+void SafePoints::end() {
+  if (watchdog_) watchdog_->disarm();
+}
 
 void build_fleet(dc::DataCenter& datacenter, const FleetConfig& fleet) {
   util::require(!fleet.core_mix.empty(), "build_fleet: empty core mix");
@@ -328,7 +385,7 @@ void DailyScenario::register_checkpoint(ckpt::CheckpointManager& manager) {
 }
 
 ConsolidationScenario::ConsolidationScenario(ConsolidationConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)), safe_points_(config_.run), manager_(sim_) {
   // The Sec. IV experiment studies the assignment procedure in isolation.
   config_.params.enable_migrations = false;
   config_.params.validate();
@@ -367,6 +424,17 @@ ConsolidationScenario::ConsolidationScenario(ConsolidationConfig config)
   mc.sample_period_s = config_.sample_period_s;
   collector_ = std::make_unique<metrics::MetricsCollector>(sim_, *dc_, mc);
   collector_->attach(*eco_);
+
+  register_checkpoint();
+  const RunControl& rc = config_.run;
+  if (rc.audit_every_s > 0.0) {
+    auditor_ = std::make_unique<ckpt::RuntimeAuditor>(
+        sim_, *dc_,
+        ckpt::AuditorConfig{.action = ckpt::parse_audit_action(rc.audit_action),
+                            .tolerance = rc.audit_tolerance,
+                            .strict_vm_accounting = rc.audit_strict});
+    auditor_->attach_controller(eco_.get());
+  }
 }
 
 double ConsolidationScenario::lambda(sim::SimTime t) const {
@@ -382,7 +450,7 @@ double ConsolidationScenario::mean_vm_share() const {
   return mean_mhz / capacity;
 }
 
-void ConsolidationScenario::run() {
+void ConsolidationScenario::start() {
   // Non-consolidated start: every server active, VMs spread uniformly.
   for (std::size_t s = 0; s < config_.num_servers; ++s) {
     eco_->force_activate(static_cast<dc::ServerId>(s));
@@ -395,14 +463,33 @@ void ConsolidationScenario::run() {
   open_->start();
   collector_->sample_now();
   collector_->start();
+}
 
-  sim_.run_until(config_.horizon_s);
-  dc_->advance_to(config_.horizon_s);
+bool ConsolidationScenario::run_slice(sim::SimTime until) {
+  const sim::SimTime target = std::min(until, config_.horizon_s);
+  sim_.run_until(target);
+  return target >= config_.horizon_s;
+}
+
+void ConsolidationScenario::finish() { dc_->advance_to(config_.horizon_s); }
+
+void ConsolidationScenario::run() {
+  start();
+  run_resumed();
 }
 
 void ConsolidationScenario::run_resumed() {
-  sim_.run_until(config_.horizon_s);
-  dc_->advance_to(config_.horizon_s);
+  safe_points_.begin(sim_.now());
+  for (bool done = false; !done;) {
+    done = run_slice(next_multiple(sim_.now(), kSafePointPeriodS));
+    const sim::SimTime t = sim_.now();
+    safe_points_.visit(
+        t, sim_.executed_events(), [this] { (void)auditor_->run_audit(); },
+        [this] { manager_.save(config_.run.checkpoint_out); });
+    if (on_safe_point) on_safe_point(t);
+  }
+  safe_points_.end();
+  finish();
 }
 
 std::string ConsolidationScenario::config_digest() const {
@@ -420,41 +507,45 @@ std::string ConsolidationScenario::config_digest() const {
   return digest;
 }
 
-void ConsolidationScenario::register_checkpoint(ckpt::CheckpointManager& manager) {
-  manager.set_config_digest(config_digest());
+void ConsolidationScenario::register_checkpoint() {
+  manager_.set_config_digest(config_digest());
 
-  manager.add_section(
+  manager_.add_section(
       "datacenter", [this](util::BinWriter& w) { dc_->save_state(w); },
       [this](util::BinReader& r) { dc_->load_state(r); });
-  manager.add_section(
+  manager_.add_section(
       "controller", [this](util::BinWriter& w) { eco_->save_state(w); },
       [this](util::BinReader& r) { eco_->load_state(r); });
-  manager.add_section(
+  manager_.add_section(
       "trace_driver", [this](util::BinWriter& w) { trace_driver_->save_state(w); },
       [this](util::BinReader& r) { trace_driver_->load_state(r); });
-  manager.add_section(
+  manager_.add_section(
       "open_system", [this](util::BinWriter& w) { open_->save_state(w); },
       [this](util::BinReader& r) { open_->load_state(r); });
-  manager.add_section(
+  manager_.add_section(
       "rates", [this](util::BinWriter& w) { rates_->save_state(w); },
       [this](util::BinReader& r) { rates_->load_state(r); });
-  manager.add_section(
+  manager_.add_section(
       "collector", [this](util::BinWriter& w) { collector_->save_state(w); },
       [this](util::BinReader& r) { collector_->load_state(r); });
+  manager_.add_section(
+      "run_control",
+      [this](util::BinWriter& w) { w.f64(safe_points_.checkpoint_every_s()); },
+      [this](util::BinReader& r) { safe_points_.restore_cadence(r.f64()); });
 
-  manager.add_owner(
+  manager_.add_owner(
       sim::tag_owner::kController,
       [this](const sim::EventTag& tag) { return eco_->rebuild_event(tag); },
       [this](const sim::EventTag& tag, sim::EventHandle handle) {
         eco_->bind_event(tag, handle);
       });
-  manager.add_owner(sim::tag_owner::kTraceDriver, [this](const sim::EventTag& tag) {
+  manager_.add_owner(sim::tag_owner::kTraceDriver, [this](const sim::EventTag& tag) {
     return trace_driver_->rebuild_event(tag);
   });
-  manager.add_owner(sim::tag_owner::kOpenSystem, [this](const sim::EventTag& tag) {
+  manager_.add_owner(sim::tag_owner::kOpenSystem, [this](const sim::EventTag& tag) {
     return open_->rebuild_event(tag);
   });
-  manager.add_owner(sim::tag_owner::kCollector, [this](const sim::EventTag& tag) {
+  manager_.add_owner(sim::tag_owner::kCollector, [this](const sim::EventTag& tag) {
     return collector_->rebuild_event(tag);
   });
 }

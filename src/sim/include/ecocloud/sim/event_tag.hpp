@@ -25,9 +25,9 @@ inline constexpr std::uint16_t kCollector = 3;   ///< metrics::MetricsCollector.
 inline constexpr std::uint16_t kOpenSystem = 4;  ///< core::OpenSystemDriver.
 inline constexpr std::uint16_t kFaults = 5;      ///< faults::FaultInjector.
 inline constexpr std::uint16_t kRedeploy = 6;    ///< faults::RedeployQueue.
-inline constexpr std::uint16_t kObsFlush = 7;    ///< obs::Instrumentation flush.
-inline constexpr std::uint16_t kCheckpoint = 8;  ///< ckpt::CheckpointManager.
-inline constexpr std::uint16_t kAuditor = 9;     ///< ckpt::RuntimeAuditor.
+// Reserved, never reuse: 7 (kObsFlush), 8 (kCheckpoint) and 9 (kAuditor)
+// tagged the retired telemetry-flush, checkpoint and audit events. Those
+// services now run at safe points between run slices, outside any calendar.
 }  // namespace tag_owner
 
 /// 16-byte POD identifying a scheduled event across checkpoint/restore.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -361,8 +362,34 @@ void register_event_log(ckpt::CheckpointManager& manager, metrics::EventLog& log
       [&log](util::BinReader& r) { log.load_state(r); });
 }
 
-/// Run the reference to completion with periodic checkpointing, keeping a
-/// numbered copy of every snapshot along the way.
+/// Keep a numbered copy of the snapshot just written to \p path.
+void keep_copy(const std::string& path, std::vector<std::string>& copies) {
+  const std::string copy = path + "." + std::to_string(copies.size());
+  std::ofstream out(copy, std::ios::binary | std::ios::trunc);
+  std::ifstream in(path, std::ios::binary);
+  out << in.rdbuf();
+  copies.push_back(copy);
+}
+
+/// Run \p daily from its current time to the horizon in slices ending on
+/// the multiples of \p period_s, saving a snapshot at every slice boundary
+/// (a safe point) and keeping a numbered copy of each.
+void finish_saving_snapshots(scenario::DailyScenario& daily,
+                             ckpt::CheckpointManager& manager,
+                             sim::SimTime period_s, const std::string& path,
+                             std::vector<std::string>& copies) {
+  sim::SimTime t = daily.simulator().now();
+  for (bool done = false; !done;) {
+    t = (std::floor(t / period_s) + 1.0) * period_s;
+    done = daily.run_slice(t);
+    manager.save(path);
+    keep_copy(path, copies);
+  }
+  daily.finish();
+}
+
+/// Run the reference to completion, checkpointing every \p period_s and
+/// keeping a numbered copy of every snapshot along the way.
 DailyResult run_daily_reference(const scenario::DailyConfig& config,
                                 sim::SimTime period_s, const std::string& path,
                                 std::vector<std::string>& copies) {
@@ -372,15 +399,8 @@ DailyResult run_daily_reference(const scenario::DailyConfig& config,
   ckpt::CheckpointManager manager(daily.simulator());
   daily.register_checkpoint(manager);
   register_event_log(manager, log);
-  manager.on_saved = [&copies, path](const std::string& saved) {
-    const std::string copy = path + "." + std::to_string(copies.size());
-    std::ofstream out(copy, std::ios::binary | std::ios::trunc);
-    std::ifstream in(saved, std::ios::binary);
-    out << in.rdbuf();
-    copies.push_back(copy);
-  };
-  manager.start_periodic(period_s, path);
-  daily.run();
+  daily.start();
+  finish_saving_snapshots(daily, manager, period_s, path, copies);
   return daily_result(daily, log);
 }
 
@@ -394,8 +414,6 @@ DailyResult resume_daily(const scenario::DailyConfig& config,
   daily.register_checkpoint(manager);
   register_event_log(manager, log);
   manager.restore(snapshot);
-  // No output path: checkpoint events still fire (identical seq
-  // consumption) but write nothing.
   daily.run_resumed();
   return daily_result(daily, log);
 }
@@ -477,16 +495,7 @@ TEST(CheckpointResume, DailyResumeOfAResumeStaysBitIdentical) {
     daily.register_checkpoint(manager);
     register_event_log(manager, log);
     manager.restore(copies[0]);
-    manager.on_saved = [&second_copies, &second_path](const std::string& saved) {
-      const std::string copy =
-          second_path + "." + std::to_string(second_copies.size());
-      std::ofstream out(copy, std::ios::binary | std::ios::trunc);
-      std::ifstream in(saved, std::ios::binary);
-      out << in.rdbuf();
-      second_copies.push_back(copy);
-    };
-    manager.set_output_path(second_path);
-    daily.run_resumed();
+    finish_saving_snapshots(daily, manager, 2700.0, second_path, second_copies);
     expect_same(daily_result(daily, log), reference);
   }
   ASSERT_GE(second_copies.size(), 2u);
@@ -535,8 +544,10 @@ TEST(CheckpointResume, PropertyRandomCadencesAndResumePoints) {
   }
 }
 
-// A run that never checkpoints must not even notice the subsystem exists:
-// registering the manager without start_periodic changes nothing.
+// A run that never checkpoints must not even notice the subsystem exists,
+// and one that checkpoints and audits between slices must not notice it
+// either: safe points lie outside the calendar, so even executed_events()
+// matches the bare run.
 TEST(CheckpointResume, RegisteredButIdleManagerIsInvisible) {
   scenario::DailyConfig config = resume_daily_config();
   config.fleet.num_servers = 24;
@@ -564,6 +575,35 @@ TEST(CheckpointResume, RegisteredButIdleManagerIsInvisible) {
     registered = daily_result(daily, log);
   }
   expect_same(registered, bare);
+
+  DailyResult operated;
+  {
+    scenario::DailyScenario daily(config);
+    metrics::EventLog log;
+    log.attach(*daily.ecocloud());
+    ckpt::CheckpointManager manager(daily.simulator());
+    daily.register_checkpoint(manager);
+    register_event_log(manager, log);
+    ckpt::RuntimeAuditor auditor(daily.simulator(), daily.datacenter(),
+                                 {.action = ckpt::AuditAction::kAbort});
+    auditor.attach_controller(daily.ecocloud());
+    if (daily.fault_injector() != nullptr) {
+      auditor.attach_redeploy(&daily.fault_injector()->redeploy());
+    }
+    const std::string path = temp_path("operated.ckpt");
+    daily.start();
+    for (sim::SimTime t = 600.0;; t += 600.0) {
+      const bool done = daily.run_slice(t);
+      manager.save(path);
+      EXPECT_TRUE(auditor.run_audit().empty());
+      if (done) break;
+    }
+    daily.finish();
+    operated = daily_result(daily, log);
+    EXPECT_EQ(manager.stats().checkpoints_written, 12u);
+    std::remove(path.c_str());
+  }
+  expect_same(operated, bare);
 }
 
 // --- Bit-identical resume: consolidation scenario ----------------------------
@@ -594,69 +634,125 @@ ConsResult cons_result(scenario::ConsolidationScenario& cons) {
   return result;
 }
 
-}  // namespace
+void expect_same(const ConsResult& actual, const ConsResult& reference) {
+  EXPECT_EQ(actual.energy_joules, reference.energy_joules);
+  EXPECT_EQ(actual.vm_seconds, reference.vm_seconds);
+  EXPECT_EQ(actual.arrivals, reference.arrivals);
+  EXPECT_EQ(actual.departures, reference.departures);
+  EXPECT_EQ(actual.rejections, reference.rejections);
+  EXPECT_EQ(actual.messages, reference.messages);
+  EXPECT_EQ(actual.executed_events, reference.executed_events);
+  ASSERT_EQ(actual.samples.size(), reference.samples.size());
+  for (std::size_t i = 0; i < reference.samples.size(); ++i) {
+    EXPECT_EQ(actual.samples[i].time, reference.samples[i].time);
+    EXPECT_EQ(actual.samples[i].active_servers,
+              reference.samples[i].active_servers);
+    EXPECT_EQ(actual.samples[i].overall_load, reference.samples[i].overall_load);
+    EXPECT_EQ(actual.samples[i].power_w, reference.samples[i].power_w);
+    EXPECT_EQ(actual.samples[i].window_energy_j,
+              reference.samples[i].window_energy_j);
+  }
+}
 
-TEST(CheckpointResume, ConsolidationRunIsBitIdentical) {
+scenario::ConsolidationConfig resume_cons_config() {
   scenario::ConsolidationConfig config;
   config.num_servers = 30;
   config.initial_vms = 300;
   config.horizon_s = 4.0 * sim::kHour;
   config.mean_lifetime_s = 1.0 * sim::kHour;
   config.seed = 11;
+  return config;
+}
+
+ConsResult bare_consolidation_run(const scenario::ConsolidationConfig& config) {
+  scenario::ConsolidationScenario cons(config);
+  cons.run();
+  return cons_result(cons);
+}
+
+}  // namespace
+
+// The consolidation run checkpoints itself at its 300 s safe points
+// (config.run). Resuming from every snapshot it wrote reproduces the bare
+// run exactly; a resume that names an output but no cadence keeps the
+// snapshot's and writes the uninterrupted run's snapshots byte for byte.
+TEST(CheckpointResume, ConsolidationRunIsBitIdentical) {
+  const scenario::ConsolidationConfig config = resume_cons_config();
+  const ConsResult bare = bare_consolidation_run(config);
 
   const std::string path = temp_path("cons.ckpt");
   std::vector<std::string> copies;
-  ConsResult reference;
   {
-    scenario::ConsolidationScenario cons(config);
-    ckpt::CheckpointManager manager(cons.simulator());
-    cons.register_checkpoint(manager);
-    manager.on_saved = [&copies, path](const std::string& saved) {
-      const std::string copy = path + "." + std::to_string(copies.size());
-      std::ofstream out(copy, std::ios::binary | std::ios::trunc);
-      std::ifstream in(saved, std::ios::binary);
-      out << in.rdbuf();
-      copies.push_back(copy);
+    scenario::ConsolidationConfig checkpointed = config;
+    checkpointed.run.checkpoint_out = path;
+    checkpointed.run.checkpoint_every_s = 1800.0;
+    scenario::ConsolidationScenario cons(checkpointed);
+    cons.on_safe_point = [&cons, &copies, &path](sim::SimTime) {
+      if (cons.checkpoints().stats().checkpoints_written > copies.size()) {
+        keep_copy(path, copies);
+      }
     };
-    manager.start_periodic(1800.0, path);
     cons.run();
-    reference = cons_result(cons);
+    expect_same(cons_result(cons), bare);
   }
-  ASSERT_GE(copies.size(), 4u);
+  ASSERT_EQ(copies.size(), 8u);  // 4 h / 1800 s, the last on the horizon
 
-  for (const std::size_t index : {std::size_t{0}, copies.size() / 2,
-                                  copies.size() - 1}) {
+  for (std::size_t index = 0; index < copies.size(); ++index) {
     SCOPED_TRACE("snapshot #" + std::to_string(index));
     scenario::ConsolidationScenario cons(config);
-    ckpt::CheckpointManager manager(cons.simulator());
-    cons.register_checkpoint(manager);
-    manager.restore(copies[index]);
+    cons.restore_snapshot(copies[index]);
     cons.run_resumed();
-    const ConsResult resumed = cons_result(cons);
-    EXPECT_EQ(resumed.energy_joules, reference.energy_joules);
-    EXPECT_EQ(resumed.vm_seconds, reference.vm_seconds);
-    EXPECT_EQ(resumed.arrivals, reference.arrivals);
-    EXPECT_EQ(resumed.departures, reference.departures);
-    EXPECT_EQ(resumed.rejections, reference.rejections);
-    EXPECT_EQ(resumed.messages, reference.messages);
-    EXPECT_EQ(resumed.executed_events, reference.executed_events);
-    ASSERT_EQ(resumed.samples.size(), reference.samples.size());
-    for (std::size_t i = 0; i < reference.samples.size(); ++i) {
-      EXPECT_EQ(resumed.samples[i].power_w, reference.samples[i].power_w);
-      EXPECT_EQ(resumed.samples[i].overall_load, reference.samples[i].overall_load);
-      EXPECT_EQ(resumed.samples[i].active_servers,
-                reference.samples[i].active_servers);
-    }
+    expect_same(cons_result(cons), bare);
   }
+
+  scenario::ConsolidationConfig resumed = config;
+  resumed.run.checkpoint_out = temp_path("cons_resumed.ckpt");
+  {
+    scenario::ConsolidationScenario cons(resumed);
+    cons.restore_snapshot(copies[2]);
+    cons.run_resumed();
+    expect_same(cons_result(cons), bare);
+    EXPECT_EQ(cons.checkpoints().stats().checkpoints_written,
+              copies.size() - 3);
+  }
+  EXPECT_EQ(read_file(resumed.run.checkpoint_out), read_file(copies.back()));
+
   remove_all(copies);
   std::remove(path.c_str());
+  std::remove(resumed.run.checkpoint_out.c_str());
+}
+
+// Checkpoints, audits and the watchdog act at safe points, outside the
+// calendar: the consolidation run executes exactly the bare run's events
+// (the calendar-event services used to add one event per firing).
+TEST(CheckpointResume, ConsolidationOperabilityIsInvisible) {
+  const scenario::ConsolidationConfig config = resume_cons_config();
+  scenario::ConsolidationConfig operated = config;
+  operated.run.checkpoint_out = temp_path("cons_operated.ckpt");
+  operated.run.checkpoint_every_s = 1800.0;
+  operated.run.audit_every_s = 900.0;
+  operated.run.audit_action = "abort";
+  operated.run.audit_strict = false;  // departed VMs stay unowned
+  operated.run.watchdog_stall_s = 120.0;
+  scenario::ConsolidationScenario cons(operated);
+  std::vector<sim::SimTime> safe_points;
+  cons.on_safe_point = [&safe_points](sim::SimTime t) { safe_points.push_back(t); };
+  cons.run();
+
+  expect_same(cons_result(cons), bare_consolidation_run(config));
+  EXPECT_EQ(safe_points.size(), 48u);  // every 300 s of 4 h
+  EXPECT_EQ(cons.auditor()->stats().audits_run, 16u);
+  EXPECT_EQ(cons.auditor()->stats().audits_failed, 0u);
+  EXPECT_EQ(cons.checkpoints().stats().checkpoints_written, 8u);
+  std::remove(operated.run.checkpoint_out.c_str());
 }
 
 // --- Consistency enforcement at restore --------------------------------------
 
 namespace {
 
-/// One early snapshot of a short daily run, for the rejection tests.
+/// One early snapshot (t = 1800 s) of a short daily run, for the
+/// rejection tests.
 std::string make_daily_snapshot(const scenario::DailyConfig& config,
                                 const std::string& path, bool with_event_log) {
   scenario::DailyScenario daily(config);
@@ -665,8 +761,9 @@ std::string make_daily_snapshot(const scenario::DailyConfig& config,
   ckpt::CheckpointManager manager(daily.simulator());
   daily.register_checkpoint(manager);
   if (with_event_log) register_event_log(manager, log);
-  manager.start_periodic(1800.0, path);
-  daily.run();
+  daily.start();
+  daily.run_slice(1800.0);
+  manager.save(path);
   return path;
 }
 
@@ -789,6 +886,23 @@ TEST(Auditor, ParseAction) {
   EXPECT_STREQ(ckpt::to_string(ckpt::AuditAction::kAbort), "abort");
 }
 
+namespace {
+
+/// Run \p daily to the horizon in \p period_s slices, auditing at every
+/// slice boundary (a safe point).
+void run_audited(scenario::DailyScenario& daily, ckpt::RuntimeAuditor& auditor,
+                 sim::SimTime period_s) {
+  daily.start();
+  for (sim::SimTime t = period_s;; t += period_s) {
+    const bool done = daily.run_slice(t);
+    (void)auditor.run_audit();
+    if (done) break;
+  }
+  daily.finish();
+}
+
+}  // namespace
+
 TEST(Auditor, CleanDailyRunPassesEveryAudit) {
   scenario::DailyConfig config = resume_daily_config();
   config.fleet.num_servers = 24;
@@ -796,18 +910,16 @@ TEST(Auditor, CleanDailyRunPassesEveryAudit) {
   config.horizon_s = 3.0 * sim::kHour;
 
   scenario::DailyScenario daily(config);
-  ckpt::AuditorConfig audit;
-  audit.period_s = 600.0;
-  audit.action = ckpt::AuditAction::kAbort;  // corruption would kill the test
-  ckpt::RuntimeAuditor auditor(daily.simulator(), daily.datacenter(), audit);
+  // kAbort: corruption would kill the test.
+  ckpt::RuntimeAuditor auditor(daily.simulator(), daily.datacenter(),
+                               {.action = ckpt::AuditAction::kAbort});
   auditor.attach_controller(daily.ecocloud());
   if (daily.fault_injector() != nullptr) {
     auditor.attach_redeploy(&daily.fault_injector()->redeploy());
   }
-  auditor.start();
-  daily.run();
+  run_audited(daily, auditor, 600.0);
 
-  EXPECT_GE(auditor.stats().audits_run, 17u);  // 3 h / 600 s, minus warmup edge
+  EXPECT_EQ(auditor.stats().audits_run, 18u);  // 3 h / 600 s
   EXPECT_EQ(auditor.stats().audits_failed, 0u);
   EXPECT_EQ(auditor.stats().heals_applied, 0u);
 }
@@ -822,15 +934,12 @@ TEST(Auditor, PassesOnPaperScaleDaily) {
   config.seed = 20130520;
 
   scenario::DailyScenario daily(config);
-  ckpt::AuditorConfig audit;
-  audit.period_s = 2.0 * sim::kHour;
-  audit.action = ckpt::AuditAction::kAbort;
-  ckpt::RuntimeAuditor auditor(daily.simulator(), daily.datacenter(), audit);
+  ckpt::RuntimeAuditor auditor(daily.simulator(), daily.datacenter(),
+                               {.action = ckpt::AuditAction::kAbort});
   auditor.attach_controller(daily.ecocloud());
-  auditor.start();
-  daily.run();
+  run_audited(daily, auditor, 2.0 * sim::kHour);
 
-  EXPECT_GE(auditor.stats().audits_run, 23u);
+  EXPECT_EQ(auditor.stats().audits_run, 24u);  // 48 h / 2 h
   EXPECT_EQ(auditor.stats().audits_failed, 0u);
 }
 
@@ -839,7 +948,7 @@ TEST(Auditor, StrictModeDetectsUnownedVm) {
   scenario::DailyScenario daily(config);
   daily.run();
 
-  ckpt::AuditorConfig audit;  // period 0: manual audits only
+  ckpt::AuditorConfig audit;
   audit.strict_vm_accounting = true;
   ckpt::RuntimeAuditor auditor(daily.simulator(), daily.datacenter(), audit);
   auditor.attach_controller(daily.ecocloud());
@@ -884,23 +993,6 @@ TEST(Auditor, HealRepairsOnlyDerivableState) {
   EXPECT_FALSE(failures.empty());
   EXPECT_EQ(auditor.stats().heals_applied, 1u);
   EXPECT_EQ(daily.datacenter().heal_caches(), 0u);  // caches were never wrong
-}
-
-TEST(Auditor, StateSurvivesCheckpointRoundTrip) {
-  sim::Simulator sim;
-  dc::DataCenter dc;
-  ckpt::AuditorConfig audit;
-  ckpt::RuntimeAuditor auditor(sim, dc, audit);
-  (void)auditor.run_audit();
-  (void)auditor.run_audit();
-
-  util::BinWriter w;
-  auditor.save_state(w);
-  ckpt::RuntimeAuditor restored(sim, dc, audit);
-  util::BinReader r(w.buffer());
-  restored.load_state(r);
-  EXPECT_EQ(restored.stats().audits_run, 2u);
-  EXPECT_EQ(restored.stats().audits_failed, auditor.stats().audits_failed);
 }
 
 // --- Watchdog ----------------------------------------------------------------

@@ -454,6 +454,37 @@ TEST(ConfigIo, RejectsInvalidRobustnessValues) {
   }
 }
 
+// Regression: an infinite or NaN cadence used to load and silently
+// disable its checkpoints, audits or watchdog. Both loaders reject it and
+// name the key.
+TEST(ConfigIo, RejectsNonFiniteRobustnessValues) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"[checkpoint]\nout = /tmp/x.ckpt\nevery_s = inf\n", "checkpoint.every_s"},
+      {"[checkpoint]\nout = /tmp/x.ckpt\nevery_s = nan\n", "checkpoint.every_s"},
+      {"[audit]\nevery_s = inf\n", "audit.every_s"},
+      {"[audit]\nevery_s = -5\n", "audit.every_s"},
+      {"[watchdog]\nstall_s = inf\n", "watchdog.stall_s"},
+      {"[watchdog]\nstall_s = nan\n", "watchdog.stall_s"},
+  };
+  for (const auto& [text, key] : cases) {
+    SCOPED_TRACE(text);
+    for (const bool daily : {true, false}) {
+      std::istringstream in(text);
+      try {
+        if (daily) {
+          (void)scenario::load_daily_config(in);
+        } else {
+          (void)scenario::load_consolidation_config(in);
+        }
+        FAIL() << "accepted";
+      } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find(key), std::string::npos)
+            << error.what();
+      }
+    }
+  }
+}
+
 // Satellite regression: a typo'd key is reported with its name and the
 // line it sits on, so multi-section files stay debuggable.
 TEST(ConfigIo, UnknownKeyErrorCarriesLineNumber) {
