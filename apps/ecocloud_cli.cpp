@@ -502,13 +502,16 @@ void print_daily_summary(const par::ShardedDailyRun& run) {
               static_cast<unsigned long long>(s.executed_events),
               static_cast<unsigned long long>(s.barriers),
               static_cast<unsigned long long>(s.stranded_wishes));
-  if (run.shard(0).fault_injector() != nullptr) {
+  if (run.config().faults.enabled()) {
     std::uint64_t crashes = 0, repairs = 0, orphans = 0, redeployed = 0,
                   abandoned = 0;
     double downtime = 0.0;
     stats::QuantileSketch redeploy;
     for (std::size_t k = 0; k < run.num_shards(); ++k) {
-      const auto& r = run.shard(k).fault_injector()->stats();
+      // Only shards whose slice can fault have an injector.
+      const faults::FaultInjector* injector = run.shard(k).fault_injector();
+      if (injector == nullptr) continue;
+      const auto& r = injector->stats();
       crashes += r.crashes();
       repairs += r.repairs();
       orphans += r.orphaned_vms();

@@ -47,7 +47,11 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'O', 'C', 'K', 'P', 'T', '1
 /// Version 3: consolidation snapshots store the checkpoint cadence
 /// ("run_control") and lose the "auditor" section; no calendar carries
 /// telemetry, checkpoint or audit events any more.
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// Version 4: every shard of a sharded snapshot is a DailyScenario and
+/// carries its "scenario" (warmup) section, and "faults" only when its
+/// slice can fault; the coordinator section drops its warmup flag and
+/// stores its cross-shard rows as a metrics::EventLog.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Identifies everything the byte layout silently depends on. Snapshots
 /// only restore into a process with an identical tag.

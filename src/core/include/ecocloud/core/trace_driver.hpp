@@ -51,6 +51,12 @@ class TraceDriver {
   /// Stop driving \p vm (on departure).
   void unmap_vm(dc::VmId vm);
 
+  /// Make trace row \p trace_index drivable here by copying its cursor
+  /// from \p home's bank (a cross-shard hand-off or deploy retry; both
+  /// banks at the same step). No-op when already resident, and for loaded
+  /// traces, which hold every row.
+  void adopt_row(std::size_t trace_index, const TraceDriver& home);
+
   /// Schedule the periodic demand refresh. Call once.
   void start();
 

@@ -45,6 +45,13 @@ void TraceDriver::map_vm(std::size_t trace_index, dc::VmId vm) {
 
 void TraceDriver::unmap_vm(dc::VmId vm) { vm_to_trace_.erase(vm); }
 
+void TraceDriver::adopt_row(std::size_t trace_index, const TraceDriver& home) {
+  if (streaming_ == nullptr) return;
+  util::require(home.streaming_ != nullptr,
+                "TraceDriver::adopt_row: home drives loaded traces");
+  streaming_->adopt_row(trace_index, *home.streaming_);
+}
+
 double TraceDriver::current_demand_mhz(std::size_t trace_index) const {
   if (traces_ != nullptr) {
     return traces_->demand_mhz_at(trace_index, traces_->step_at(sim_.now()));

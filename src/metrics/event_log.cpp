@@ -27,59 +27,59 @@ void EventLog::attach(core::EcoCloudController& controller) {
 
   hooks.on_assignment = [this, chained = std::move(hooks.on_assignment)](
                             sim::SimTime t, dc::VmId vm, dc::ServerId server) {
-    append({t, EventKind::kAssignment, vm, server, false});
+    record({t, EventKind::kAssignment, vm, server, false});
     if (chained) chained(t, vm, server);
   };
   hooks.on_assignment_failure =
       [this, chained = std::move(hooks.on_assignment_failure)](sim::SimTime t,
                                                                dc::VmId vm) {
-        append({t, EventKind::kAssignmentFailure, vm, dc::kNoServer,
+        record({t, EventKind::kAssignmentFailure, vm, dc::kNoServer,
                            false});
         if (chained) chained(t, vm);
       };
   hooks.on_migration_start =
       [this, chained = std::move(hooks.on_migration_start)](
           sim::SimTime t, dc::VmId vm, bool is_high) {
-        append({t, EventKind::kMigrationStart, vm, dc::kNoServer,
+        record({t, EventKind::kMigrationStart, vm, dc::kNoServer,
                            is_high});
         if (chained) chained(t, vm, is_high);
       };
   hooks.on_migration_complete =
       [this, chained = std::move(hooks.on_migration_complete)](
           sim::SimTime t, dc::VmId vm, bool is_high) {
-        append({t, EventKind::kMigrationComplete, vm, dc::kNoServer,
+        record({t, EventKind::kMigrationComplete, vm, dc::kNoServer,
                            is_high});
         if (chained) chained(t, vm, is_high);
       };
   hooks.on_activation = [this, chained = std::move(hooks.on_activation)](
                             sim::SimTime t, dc::ServerId server) {
-    append({t, EventKind::kActivation, dc::kNoVm, server, false});
+    record({t, EventKind::kActivation, dc::kNoVm, server, false});
     if (chained) chained(t, server);
   };
   hooks.on_hibernation = [this, chained = std::move(hooks.on_hibernation)](
                              sim::SimTime t, dc::ServerId server) {
-    append({t, EventKind::kHibernation, dc::kNoVm, server, false});
+    record({t, EventKind::kHibernation, dc::kNoVm, server, false});
     if (chained) chained(t, server);
   };
   hooks.on_server_failed = [this, chained = std::move(hooks.on_server_failed)](
                                sim::SimTime t, dc::ServerId server) {
-    append({t, EventKind::kServerFailed, dc::kNoVm, server, false});
+    record({t, EventKind::kServerFailed, dc::kNoVm, server, false});
     if (chained) chained(t, server);
   };
   hooks.on_server_repaired = [this, chained = std::move(hooks.on_server_repaired)](
                                  sim::SimTime t, dc::ServerId server) {
-    append({t, EventKind::kServerRepaired, dc::kNoVm, server, false});
+    record({t, EventKind::kServerRepaired, dc::kNoVm, server, false});
     if (chained) chained(t, server);
   };
   hooks.on_vm_orphaned = [this, chained = std::move(hooks.on_vm_orphaned)](
                              sim::SimTime t, dc::VmId vm, dc::ServerId server) {
-    append({t, EventKind::kVmOrphaned, vm, server, false});
+    record({t, EventKind::kVmOrphaned, vm, server, false});
     if (chained) chained(t, vm, server);
   };
   hooks.on_migration_aborted =
       [this, chained = std::move(hooks.on_migration_aborted)](
           sim::SimTime t, dc::VmId vm, bool is_high) {
-        append({t, EventKind::kMigrationAborted, vm, dc::kNoServer,
+        record({t, EventKind::kMigrationAborted, vm, dc::kNoServer,
                            is_high});
         if (chained) chained(t, vm, is_high);
       };

@@ -59,6 +59,13 @@ class EventLog {
   /// Subscribe to \p controller's events, chaining existing callbacks.
   void attach(core::EcoCloudController& controller);
 
+  /// Append one row, as attach()'s callbacks do. The sharded coordinator
+  /// records its cross-shard rows here.
+  void record(const Event& event) {
+    events_.push_back(event);
+    ++counts_[static_cast<std::size_t>(event.kind)];
+  }
+
   [[nodiscard]] const std::vector<Event>& events() const { return events_; }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
 
@@ -104,16 +111,11 @@ class EventLog {
       e.vm = static_cast<dc::VmId>(r.u64());
       e.server = static_cast<dc::ServerId>(r.u64());
       e.is_high = r.boolean();
-      append(e);
+      record(e);
     }
   }
 
  private:
-  void append(const Event& event) {
-    events_.push_back(event);
-    ++counts_[static_cast<std::size_t>(event.kind)];
-  }
-
   std::vector<Event> events_;
   std::array<std::size_t, kNumEventKinds> counts_{};
 };

@@ -1,9 +1,5 @@
 #include "ecocloud/par/event_merge.hpp"
 
-#include <ostream>
-
-#include "ecocloud/util/csv.hpp"
-
 namespace ecocloud::par {
 
 void merge_event_streams(const std::vector<EventStream>& streams,
@@ -27,11 +23,6 @@ void merge_event_streams(const std::vector<EventStream>& streams,
     sink(streams[best].translate ? streams[best].translate(raw) : raw);
     ++pos[best];
   }
-}
-
-void write_merged_events_csv(std::ostream& out,
-                             const std::vector<metrics::Event>& events) {
-  metrics::write_events_csv(out, events);
 }
 
 }  // namespace ecocloud::par

@@ -13,7 +13,6 @@
 /// ids happens per stream at emission via an optional callback.
 
 #include <functional>
-#include <iosfwd>
 #include <vector>
 
 #include "ecocloud/metrics/event_log.hpp"
@@ -36,10 +35,5 @@ using EventSink = std::function<void(const metrics::Event&)>;
 /// straight to a file keeps the merge at O(K) extra memory.
 void merge_event_streams(const std::vector<EventStream>& streams,
                          const EventSink& sink);
-
-/// Write \p events in metrics::EventLog::write_csv's exact row format
-/// (header, precision, -1 sentinels) so K=1 reproduces its bytes.
-void write_merged_events_csv(std::ostream& out,
-                             const std::vector<metrics::Event>& events);
 
 }  // namespace ecocloud::par

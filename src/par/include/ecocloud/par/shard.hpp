@@ -1,39 +1,39 @@
 #pragma once
 
 /// \file shard.hpp
-/// \brief One shard of a sharded daily run: a complete, self-contained
-/// single-threaded simulation of its slice of the fleet.
+/// \brief One shard of a sharded daily run: a scenario::DailyScenario over
+/// its slice of the fleet, plus the coordination state the coordinator
+/// needs between epochs.
 ///
-/// A shard owns everything the single-threaded engine owns — slab event
-/// calendar (sim::Simulator), datacenter subset, trace driver, ecoCloud
-/// controller with its own RNG streams, metrics collector, event-log
-/// segment — plus the trace::StreamingTraces cursor bank of its trace rows
-/// (ShardPlan::shard_of_trace partitioning, DESIGN.md §17), which it
-/// advances privately: O(VMs/K) memory per shard, nothing shared.
-/// Between epoch barriers a shard never touches another shard's state;
-/// everything cross-shard goes through the coordinator (sharded_runner),
-/// which runs serially — including adopt_trace_row, which copies a
-/// handed-off VM's cursor from its owner bank into the destination bank.
+/// The shard's simulation — slab event calendar, datacenter subset, trace
+/// driver, ecoCloud controller with its own RNG streams, metrics
+/// collector, fault injector — is a DailyScenario built from the shard's
+/// trace::StreamingTraces cursor bank (ShardPlan::shard_of_trace
+/// partitioning, DESIGN.md §17) and a shard-local DailyConfig:
 ///
-/// RNG partitioning: shard k draws from Rng(seed ^ k * golden).split(1),
-/// mirroring DailyScenario's Rng(seed).split(1) — the XOR term vanishes
-/// for shard 0, so a K=1 run replays the single-threaded stream exactly.
+///  * plan.servers_in(k) servers with the core mix rotated,
+///    mix'[j] = mix[(j·K + k) mod |mix|], so build_fleet gives local
+///    server l the class of global server l·K + k;
+///  * seed ^ k·golden, so shard k draws from Rng(seed ^ k·golden).split(1)
+///    (and split(7) for faults) — the XOR term vanishes for shard 0, and a
+///    K = 1 shard is the single-threaded DailyScenario by construction;
+///  * the scripted fault schedule restricted to the shard's servers in
+///    local ids; a shard whose slice cannot fault has no injector.
+///
+/// The shard adds its event-log segment and the stranded-migration wishes
+/// it records for the coordinator. Between epoch barriers a shard never
+/// touches another shard's state; everything cross-shard goes through the
+/// coordinator (sharded_runner), which runs serially — including
+/// adopt_trace_row, which copies a handed-off VM's cursor from its owner
+/// bank into the destination bank.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "ecocloud/core/controller.hpp"
-#include "ecocloud/core/trace_driver.hpp"
-#include "ecocloud/dc/datacenter.hpp"
-#include "ecocloud/faults/fault_injector.hpp"
-#include "ecocloud/metrics/collector.hpp"
 #include "ecocloud/metrics/event_log.hpp"
-#include "ecocloud/net/topology.hpp"
 #include "ecocloud/par/partition.hpp"
 #include "ecocloud/scenario/scenario.hpp"
-#include "ecocloud/sim/simulator.hpp"
 #include "ecocloud/trace/streaming_traces.hpp"
 #include "ecocloud/util/binio.hpp"
 
@@ -57,6 +57,7 @@ class Shard {
   /// Takes ownership of \p bank, this shard's slice of a
   /// StreamingTraces::generate_partitioned run (bank k for shard k — the
   /// partition rule and ShardPlan::shard_of_trace agree by construction).
+  /// \p config is the run's global configuration.
   Shard(const scenario::DailyConfig& config, const ShardPlan& plan,
         std::size_t shard_id, trace::StreamingTraces bank);
 
@@ -65,45 +66,28 @@ class Shard {
 
   [[nodiscard]] std::size_t id() const { return id_; }
 
-  /// Create + map + deploy the VM of global trace row \p trace_index at
-  /// t = 0. Returns false when the shard is saturated (assignment failed);
-  /// the VM stays created and mapped, exactly as in DailyScenario.
+  /// The simulation of this shard's slice. The coordinator drives it:
+  /// start_faults(), the deploy wave through deploy(), start_services(),
+  /// run_slice() per epoch (concurrently with other shards), finish().
+  [[nodiscard]] scenario::DailyScenario& scenario() { return scenario_; }
+
+  /// DailyScenario::deploy of global trace row \p trace_index, recorded in
+  /// the shard's VM -> trace map. Returns false when the shard is
+  /// saturated; the VM stays created and mapped, as in DailyScenario.
   bool deploy(std::size_t trace_index);
 
   /// Undo the trace mapping of the last failed deploy so the runner can
   /// retry the VM on another shard without this one double-driving it.
   void abandon_last_deploy();
 
-  /// Install fault hooks and schedule this shard's fault processes. Call
-  /// once, BEFORE the first deploy (message loss applies to the initial
-  /// placement wave, exactly as in DailyScenario). No-op without faults.
-  void start_faults();
-
-  /// Start the periodic services (trace ticks, monitors, sampling). Call
-  /// once, after the t=0 deployment wave.
-  void start_services();
-
-  /// Advance this shard's calendar to \p t (inclusive, like
-  /// Simulator::run_until). Safe to call concurrently with other shards.
-  void run_until(sim::SimTime t);
-
-  /// End-of-warmup accounting reset (DailyScenario semantics).
-  void warmup_reset();
-
-  /// Settle energy/SLA integrals (and open orphan downtime) at the horizon.
-  void finish(sim::SimTime horizon);
-
   /// Checkpoint surface for the shard's own coordination state: the
   /// VM->trace map, the pending migration wishes, and the dedup flags.
-  /// Everything else (datacenter, controller, collector, ...) registers
-  /// its own section via register_checkpoint.
   void save_state(util::BinWriter& w) const;
   void load_state(util::BinReader& r);
 
-  /// Register every stateful component of this shard (sections and
-  /// calendar-event owners) with \p manager: the shard coordination
-  /// section, scenario::register_daily_checkpoint, and the event-log
-  /// segment.
+  /// Register the shard coordination section, the scenario's sections and
+  /// calendar-event owners (DailyScenario::register_checkpoint), and the
+  /// event-log segment with \p manager.
   void register_checkpoint(ckpt::CheckpointManager& manager);
 
   // --- Coordinator surface (serial, between epochs) ---
@@ -139,47 +123,45 @@ class Shard {
     return vm_trace_[vm];
   }
 
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] const sim::Simulator& simulator() const { return sim_; }
-  [[nodiscard]] dc::DataCenter& datacenter() { return *dc_; }
-  [[nodiscard]] const dc::DataCenter& datacenter() const { return *dc_; }
-  [[nodiscard]] core::EcoCloudController& controller() { return *eco_; }
+  [[nodiscard]] sim::Simulator& simulator() { return scenario_.simulator(); }
+  [[nodiscard]] const sim::Simulator& simulator() const {
+    return scenario_.simulator();
+  }
+  [[nodiscard]] dc::DataCenter& datacenter() { return scenario_.datacenter(); }
+  [[nodiscard]] const dc::DataCenter& datacenter() const {
+    return scenario_.datacenter();
+  }
+  [[nodiscard]] core::EcoCloudController& controller() {
+    return *scenario_.ecocloud();
+  }
   [[nodiscard]] const core::EcoCloudController& controller() const {
-    return *eco_;
+    return *scenario_.ecocloud();
   }
   [[nodiscard]] const metrics::MetricsCollector& collector() const {
-    return *collector_;
+    return scenario_.collector();
   }
-  [[nodiscard]] const metrics::EventLog& event_log() const { return *log_; }
+  [[nodiscard]] const metrics::EventLog& event_log() const { return log_; }
   [[nodiscard]] const core::TraceDriver& trace_driver() const {
-    return *trace_driver_;
+    return scenario_.trace_driver();
   }
-  /// Non-null only when the run's FaultParams are enabled.
+  /// Non-null only when this shard's slice can fault: its localized
+  /// FaultParams are enabled (random processes, or a scripted fault on one
+  /// of its servers).
   [[nodiscard]] faults::FaultInjector* fault_injector() {
-    return injector_.get();
+    return scenario_.fault_injector();
   }
   [[nodiscard]] const faults::FaultInjector* fault_injector() const {
-    return injector_.get();
+    return scenario_.fault_injector();
   }
 
  private:
-  const ShardPlan& plan_;
   std::size_t id_;
-  trace::StreamingTraces bank_;
+  scenario::DailyScenario scenario_;
+  metrics::EventLog log_;
 
-  sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
-  std::unique_ptr<dc::DataCenter> dc_;
-  std::unique_ptr<core::TraceDriver> trace_driver_;
-  std::unique_ptr<core::EcoCloudController> eco_;
-  std::unique_ptr<metrics::MetricsCollector> collector_;
-  std::unique_ptr<metrics::EventLog> log_;
-  std::unique_ptr<faults::FaultInjector> injector_;
-
-  /// Local VmId -> global trace row; append-only, so event rows translate
-  /// even for VMs that have since been handed off.
+  /// Local VmId -> global trace row; append-only (VM ids are dense), so
+  /// event rows translate even for VMs that have since been handed off.
   std::vector<std::size_t> vm_trace_;
-  dc::VmId last_deployed_ = dc::kNoVm;
 
   std::vector<MigrationWish> wishes_;
   std::vector<std::uint8_t> wished_;  ///< per local server, dedup flag

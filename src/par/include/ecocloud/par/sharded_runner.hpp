@@ -212,7 +212,7 @@ class ShardedDailyRun {
   /// Cross-shard migrations recorded by the coordinator with GLOBAL ids
   /// (the shard logs never see them; dc unplace/place is not a migration
   /// to either side's accounting).
-  std::vector<metrics::Event> coordinator_events_;
+  metrics::EventLog coordinator_log_;
   std::uint64_t cross_low_ = 0;
   std::uint64_t cross_high_ = 0;
 
@@ -225,9 +225,8 @@ class ShardedDailyRun {
 
   /// Coordinator clock: the last completed barrier time. Persisted, so a
   /// resumed run continues the epoch loop exactly where the snapshot was
-  /// taken.
+  /// taken; the warmup reset is done once t_ >= config.warmup_s.
   sim::SimTime t_ = 0.0;
-  bool warmup_done_ = false;
 
   util::PhaseProfiler* profiler_ = nullptr;
   std::vector<double> last_epoch_wall_s_;

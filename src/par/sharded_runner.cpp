@@ -20,6 +20,18 @@
 
 namespace ecocloud::par {
 
+namespace {
+
+/// Section-name prefix of shard \p k in a sharded snapshot: "s<k>.".
+std::string shard_prefix(std::size_t k) {
+  std::string prefix = "s";
+  prefix += std::to_string(k);
+  prefix += '.';
+  return prefix;
+}
+
+}  // namespace
+
 ShardedDailyRun::ShardedDailyRun(scenario::DailyConfig config, ParConfig par)
     : config_(std::move(config)),
       par_(std::move(par)),
@@ -32,7 +44,6 @@ ShardedDailyRun::ShardedDailyRun(scenario::DailyConfig config, ParConfig par)
   util::require(!config_.topology || par_.shards == 1,
                 "ShardedDailyRun: rack topology needs a single shard "
                 "(invitations would need cross-shard rack scoping)");
-  warmup_done_ = config_.warmup_s <= 0.0;
 
   // The traces are generated once from the bare seed — exactly as
   // DailyScenario does — so the workload is a function of the config
@@ -104,25 +115,17 @@ void ShardedDailyRun::save_snapshot(const std::string& path) {
     util::BinWriter w;
     w.f64(t_);
     w.f64(safe_points_.checkpoint_every_s());
-    w.boolean(warmup_done_);
     w.u64(stats_.barriers);
     w.u64(stats_.stranded_wishes);
     w.u64(stats_.handoff_attempts);
     w.u64(stats_.cross_shard_migrations);
     w.u64(cross_low_);
     w.u64(cross_high_);
-    w.u64(coordinator_events_.size());
-    for (const metrics::Event& e : coordinator_events_) {
-      w.f64(e.time);
-      w.u16(static_cast<std::uint16_t>(e.kind));
-      w.u64(static_cast<std::uint64_t>(e.vm));
-      w.u64(static_cast<std::uint64_t>(e.server));
-      w.boolean(e.is_high);
-    }
+    coordinator_log_.save_state(w);
     snapshot.add("coordinator", w.take());
   }
   for (std::size_t k = 0; k < shards_.size(); ++k) {
-    managers_[k]->collect(snapshot, "s" + std::to_string(k) + ".");
+    managers_[k]->collect(snapshot, shard_prefix(k));
   }
   ckpt::write_snapshot_file(snapshot, path);
   ++stats_.checkpoints_written;
@@ -148,32 +151,27 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
     throw ckpt::SnapshotError("snapshot: '" + path +
                               "' has no coordinator section");
   }
-  {
+  try {
     util::BinReader r(coord->payload);
     t_ = r.f64();
     safe_points_.restore_cadence(r.f64());
-    warmup_done_ = r.boolean();
     stats_.barriers = r.u64();
     stats_.stranded_wishes = r.u64();
     stats_.handoff_attempts = r.u64();
     stats_.cross_shard_migrations = r.u64();
     cross_low_ = r.u64();
     cross_high_ = r.u64();
-    coordinator_events_.assign(static_cast<std::size_t>(r.u64()),
-                               metrics::Event{});
-    for (metrics::Event& e : coordinator_events_) {
-      e.time = r.f64();
-      e.kind = static_cast<metrics::EventKind>(r.u16());
-      e.vm = static_cast<dc::VmId>(r.u64());
-      e.server = static_cast<dc::ServerId>(r.u64());
-      e.is_high = r.boolean();
-    }
+    coordinator_log_.load_state(r);
     r.expect_exhausted("coordinator");
+  } catch (const std::exception& error) {
+    throw ckpt::SnapshotError("snapshot: '" + path +
+                              "' section 'coordinator' failed to load: " +
+                              error.what());
   }
 
   std::size_t expected = 2;  // meta + coordinator
   for (std::size_t k = 0; k < shards_.size(); ++k) {
-    managers_[k]->restore_from(snapshot, "s" + std::to_string(k) + ".", path);
+    managers_[k]->restore_from(snapshot, shard_prefix(k), path);
     expected += managers_[k]->num_sections() + 1;  // sections + engine
   }
   if (snapshot.sections.size() != expected) {
@@ -231,9 +229,8 @@ void ShardedDailyRun::run() {
   }
 
   if (!resumed_) {
-    // Fault hooks must be live before the first deployment: message loss
-    // applies to the initial placement wave (DailyScenario ordering).
-    for (auto& shard : shards_) shard->start_faults();
+    // DailyScenario::start, spread over the shards.
+    for (auto& shard : shards_) shard->scenario().start_faults();
 
     // t=0 deployment wave, in global trace order. A VM refused by its
     // owner shard (saturation) is retried on the remaining shards in
@@ -257,16 +254,17 @@ void ShardedDailyRun::run() {
       }
     }
 
-    for (auto& shard : shards_) shard->start_services();
+    for (auto& shard : shards_) shard->scenario().start_services();
   }
 
   safe_points_.begin(t_);
 
   // Epoch loop. Barrier times are multiples of the sync interval clipped
-  // to the warmup boundary and the horizon, so the accounting reset and
-  // the final settle happen at exactly the single-threaded times. On a
-  // resumed run t_ starts at the snapshot's barrier and the loop simply
-  // continues.
+  // to the warmup boundary and the horizon, so the accounting reset
+  // (DailyScenario::run_slice, at the end of the epoch that reaches
+  // warmup) and the final settle happen at exactly the single-threaded
+  // times. On a resumed run t_ starts at the snapshot's barrier and the
+  // loop simply continues.
   const sim::SimTime horizon = config_.horizon_s;
   const sim::SimTime warmup = config_.warmup_s;
   last_epoch_wall_s_.assign(K, 0.0);
@@ -282,13 +280,13 @@ void ShardedDailyRun::run() {
     util::DomainScope scope(profiler_ != nullptr ? &profiler_->domain(k)
                                                  : util::current_domain());
     const std::uint64_t t0 = util::monotonic_ns();
-    shards_[k]->run_until(until);
+    shards_[k]->scenario().run_slice(until);
     last_epoch_wall_s_[k] =
         static_cast<double>(util::monotonic_ns() - t0) * 1e-9;
   };
   while (t_ < horizon) {
     sim::SimTime next = t_ + par_.sync_interval_s;
-    if (!warmup_done_ && warmup > t_) next = std::min(next, warmup);
+    if (warmup > t_) next = std::min(next, warmup);
     next = std::min(next, horizon);
 
     if (par_.epoch_order) {
@@ -323,10 +321,10 @@ void ShardedDailyRun::run() {
       }
     }
 
-    if (!warmup_done_ && next >= warmup) {
-      for (auto& shard : shards_) shard->warmup_reset();
+    // This epoch's run_slice reset the shards' energy integrals, so the
+    // monotonicity audit starts over too.
+    if (t_ < warmup && next >= warmup) {
       last_energy_.assign(last_energy_.size(), 0.0);
-      warmup_done_ = true;
     }
     {
       util::ScopedPhase profile(util::Phase::kHandoff);
@@ -337,7 +335,7 @@ void ShardedDailyRun::run() {
     at_barrier();
   }
   safe_points_.end();
-  for (auto& shard : shards_) shard->finish(horizon);
+  for (auto& shard : shards_) shard->scenario().finish();
 
   for (auto& shard : shards_) {
     stats_.executed_events += shard->simulator().executed_events();
@@ -455,10 +453,10 @@ void ShardedDailyRun::resolve_wish(std::size_t source_shard,
     ++stats_.cross_shard_migrations;
     ++(is_high ? cross_high_ : cross_low_);
     const auto global_vm = static_cast<dc::VmId>(row);
-    coordinator_events_.push_back(metrics::Event{
+    coordinator_log_.record(metrics::Event{
         now, metrics::EventKind::kMigrationStart, global_vm, dc::kNoServer,
         is_high});
-    coordinator_events_.push_back(metrics::Event{
+    coordinator_log_.record(metrics::Event{
         now, metrics::EventKind::kMigrationComplete, global_vm, dc::kNoServer,
         is_high});
     return;
@@ -618,14 +616,14 @@ void ShardedDailyRun::merge_events(const EventSink& sink) const {
           return e;
         }});
   }
-  streams.push_back(EventStream{&coordinator_events_, {}});
+  streams.push_back(EventStream{&coordinator_log_.events(), {}});
   merge_event_streams(streams, sink);
 }
 
 std::size_t ShardedDailyRun::write_events_csv(std::ostream& out) const {
   std::vector<metrics::Event> rows;
   merge_events([&rows](const metrics::Event& e) { rows.push_back(e); });
-  write_merged_events_csv(out, rows);
+  metrics::write_events_csv(out, rows);
   return rows.size();
 }
 

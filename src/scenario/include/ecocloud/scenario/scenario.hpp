@@ -8,7 +8,8 @@
 ///
 ///  * DailyScenario (Sec. III) — 400 servers (1/3 x 4, 1/3 x 6, 1/3 x 8
 ///    cores at 2 GHz), 6,000 trace-driven VMs, ecoCloud assignment +
-///    migration, 48 hours, metrics every 30 minutes.
+///    migration, 48 hours, metrics every 30 minutes. Each shard of
+///    par::ShardedDailyRun is one DailyScenario over its slice.
 ///  * ConsolidationScenario (Sec. IV) — 100 six-core servers, 1,500
 ///    initial VMs spread randomly (10-30% per-server load), migrations
 ///    disabled, open arrivals/departures, 18 hours starting at midnight.
@@ -176,24 +177,27 @@ enum class Algorithm { kEcoCloud, kCentralized, kStatic };
 [[nodiscard]] std::string daily_config_digest(const DailyConfig& config,
                                               const char* algo);
 
-/// Register the state sections (datacenter, controller, trace_driver,
-/// collector, and faults when \p injector is set) and the calendar-event
-/// owners of one ecoCloud daily simulation, in that order. DailyScenario
-/// and par::Shard add their own sections around these. Every object must
-/// outlive \p manager.
-void register_daily_checkpoint(ckpt::CheckpointManager& manager,
-                               dc::DataCenter& datacenter,
-                               core::EcoCloudController& controller,
-                               core::TraceDriver& trace_driver,
-                               metrics::MetricsCollector& collector,
-                               faults::FaultInjector* injector);
-
 /// A fully wired daily-cycle experiment. Construct, then run().
+///
+/// This is the only code that wires an ecoCloud daily simulation: a shard
+/// of par::ShardedDailyRun is a DailyScenario over its slice of the fleet
+/// and its cursor bank, driven through start_faults(), deploy(),
+/// start_services(), run_slice() and finish() by the coordinator.
 class DailyScenario {
  public:
+  /// Synthetic workload: streams config.num_vms trace rows generated from
+  /// Rng(config.seed) (the bank constructor with that bank).
   explicit DailyScenario(DailyConfig config,
                          Algorithm algorithm = Algorithm::kEcoCloud,
                          baseline::CentralizedParams centralized_params = {});
+
+  /// Drive the scenario from a streaming cursor bank — one bank of
+  /// StreamingTraces::generate_partitioned for a shard. config.num_vms is
+  /// taken from the bank (its global row count); config.seed seeds only
+  /// the controller (split 1) and fault (split 7) streams.
+  DailyScenario(DailyConfig config, trace::StreamingTraces bank,
+                Algorithm algorithm = Algorithm::kEcoCloud,
+                baseline::CentralizedParams centralized_params = {});
 
   /// Drive the scenario with externally supplied traces (e.g. real
   /// PlanetLab logs imported via trace::read_planetlab_dir) instead of the
@@ -213,11 +217,26 @@ class DailyScenario {
   void run_resumed();
 
   /// Setup phase of run() without advancing simulation time: boot the
-  /// static fleet if applicable, start fault hooks, create and deploy
-  /// every VM, start the drivers and the collector. The campaign server
-  /// uses start() + repeated run_slice() so it can checkpoint, pause, or
-  /// evict a campaign between slices.
+  /// static fleet if applicable, start_faults(), deploy() every trace row
+  /// in order, start_services(). The campaign server uses start() +
+  /// repeated run_slice() so it can checkpoint, pause, or evict a campaign
+  /// between slices.
   void start();
+
+  /// Install fault hooks and schedule the fault processes. Call once,
+  /// before the first deploy(): message loss applies to the initial
+  /// placement wave too. No-op without an injector.
+  void start_faults();
+
+  /// Create the VM of trace row \p row at t = 0 (VM ids are dense, so it
+  /// is datacenter().num_vms() - 1), map it to its trace and hand it to
+  /// the algorithm. Returns false when the ecoCloud assignment failed;
+  /// the VM stays created and mapped either way.
+  bool deploy(std::size_t row);
+
+  /// Start the periodic services: trace ticks, controller monitors,
+  /// metric sampling. Call once, after the t = 0 deployment wave.
+  void start_services();
 
   /// Advance the simulation to min(\p until, horizon), performing the
   /// warmup accounting reset when the slice crosses warmup_s. Slicing is
@@ -231,10 +250,11 @@ class DailyScenario {
   /// run_slice() has returned true.
   void finish();
 
-  /// Register this scenario's state sections and calendar-event owners
-  /// (controller, trace driver, collector, faults, scenario flags) plus
-  /// the config digest. ecoCloud only: the baseline controllers schedule
-  /// untagged events and cannot be checkpointed.
+  /// Register this scenario's state sections (scenario flags, datacenter,
+  /// controller, trace driver, collector, and faults when there is an
+  /// injector, in that order) and calendar-event owners plus the config
+  /// digest. ecoCloud only: the baseline controllers schedule untagged
+  /// events and cannot be checkpointed.
   void register_checkpoint(ckpt::CheckpointManager& manager);
 
   /// Fingerprint of the immutable configuration; snapshots only restore
@@ -243,9 +263,21 @@ class DailyScenario {
 
   [[nodiscard]] const DailyConfig& config() const { return config_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
+  [[nodiscard]] const sim::Simulator& simulator() const { return sim_; }
   [[nodiscard]] dc::DataCenter& datacenter() { return *dc_; }
+  [[nodiscard]] const dc::DataCenter& datacenter() const { return *dc_; }
   [[nodiscard]] metrics::MetricsCollector& collector() { return *collector_; }
+  [[nodiscard]] const metrics::MetricsCollector& collector() const {
+    return *collector_;
+  }
+  [[nodiscard]] core::TraceDriver& trace_driver() { return *trace_driver_; }
+  [[nodiscard]] const core::TraceDriver& trace_driver() const {
+    return *trace_driver_;
+  }
   [[nodiscard]] core::EcoCloudController* ecocloud() { return eco_.get(); }
+  [[nodiscard]] const core::EcoCloudController* ecocloud() const {
+    return eco_.get();
+  }
   [[nodiscard]] baseline::CentralizedController* centralized() {
     return central_.get();
   }
@@ -253,10 +285,13 @@ class DailyScenario {
   /// Non-null only when config.faults.enabled() and the algorithm is
   /// kEcoCloud; carries the resilience statistics of the run.
   [[nodiscard]] faults::FaultInjector* fault_injector() { return injector_.get(); }
+  [[nodiscard]] const faults::FaultInjector* fault_injector() const {
+    return injector_.get();
+  }
 
  private:
-  /// Wiring both constructors share: fleet, controller, collector, fault
-  /// injector. Each constructor then builds its trace source and driver.
+  /// Wiring both trace sources share: fleet, controller, collector, fault
+  /// injector. Each constructor then builds its trace driver.
   void init(const baseline::CentralizedParams& centralized_params);
 
   DailyConfig config_;
@@ -264,7 +299,7 @@ class DailyScenario {
   sim::Simulator sim_;
   std::unique_ptr<net::Topology> topology_;
   std::unique_ptr<dc::DataCenter> dc_;
-  /// Loaded traces (the TraceSet constructor) or the synthetic stream.
+  /// Loaded traces (the TraceSet constructor) or the streaming bank.
   std::unique_ptr<trace::TraceSet> traces_;
   std::unique_ptr<trace::StreamingTraces> streaming_;
   std::unique_ptr<core::TraceDriver> trace_driver_;

@@ -88,6 +88,14 @@ sim::SimTime next_multiple(sim::SimTime t, sim::SimTime every_s) {
   return (std::floor(t / every_s) + 1.0) * every_s;
 }
 
+/// The synthetic workload of \p config: one bank over every trace row.
+trace::StreamingTraces generate_bank(const DailyConfig& config) {
+  util::Rng rng(config.seed);
+  return trace::StreamingTraces::generate(
+      trace::WorkloadModel(config.workload), config.num_vms,
+      trace_steps(config.horizon_s, config.workload), rng);
+}
+
 }  // namespace
 
 void RunControl::validate(bool resuming) const {
@@ -160,13 +168,16 @@ std::size_t trace_steps(sim::SimTime horizon_s,
 
 DailyScenario::DailyScenario(DailyConfig config, Algorithm algorithm,
                              baseline::CentralizedParams centralized_params)
+    : DailyScenario(config, generate_bank(config), algorithm,
+                    std::move(centralized_params)) {}
+
+DailyScenario::DailyScenario(DailyConfig config, trace::StreamingTraces bank,
+                             Algorithm algorithm,
+                             baseline::CentralizedParams centralized_params)
     : config_(std::move(config)), algorithm_(algorithm) {
+  config_.num_vms = bank.num_vms();
   init(centralized_params);
-  util::Rng rng(config_.seed);
-  streaming_ = std::make_unique<trace::StreamingTraces>(
-      trace::StreamingTraces::generate(
-          trace::WorkloadModel(config_.workload), config_.num_vms,
-          trace_steps(config_.horizon_s, config_.workload), rng));
+  streaming_ = std::make_unique<trace::StreamingTraces>(std::move(bank));
   trace_driver_ = std::make_unique<core::TraceDriver>(sim_, *dc_, *streaming_);
 }
 
@@ -222,9 +233,7 @@ void DailyScenario::start() {
     }
   }
 
-  // Hooks must be live before the first deployment: message loss applies
-  // to the initial placement wave too.
-  if (injector_) injector_->start();
+  start_faults();
 
   // Create all VMs with their t=0 demand and deploy them; the controllers
   // wake servers and queue VMs as boots complete. At planet scale this
@@ -232,20 +241,26 @@ void DailyScenario::start() {
   // one span, always timed, never mistaken for steady-state event cost.
   {
     util::ScopedPhase profile(util::Phase::kVmLifecycle);
-    for (std::size_t i = 0; i < config_.num_vms; ++i) {
-      const dc::VmId vm = dc_->create_vm(0.0, trace_driver_->ram_mb(i));
-      trace_driver_->map_vm(i, vm);
-      if (eco_) {
-        eco_->deploy_vm(vm);
-      } else if (central_) {
-        central_->deploy_vm(vm);
-      } else {
-        dc_->place_vm(0.0, vm,
-                      static_cast<dc::ServerId>(i % dc_->num_servers()));
-      }
-    }
+    for (std::size_t i = 0; i < config_.num_vms; ++i) deploy(i);
   }
 
+  start_services();
+}
+
+void DailyScenario::start_faults() {
+  if (injector_) injector_->start();
+}
+
+bool DailyScenario::deploy(std::size_t row) {
+  const dc::VmId vm = dc_->create_vm(0.0, trace_driver_->ram_mb(row));
+  trace_driver_->map_vm(row, vm);
+  if (eco_) return eco_->deploy_vm(vm);
+  if (central_) return central_->deploy_vm(vm);
+  dc_->place_vm(0.0, vm, static_cast<dc::ServerId>(row % dc_->num_servers()));
+  return true;
+}
+
+void DailyScenario::start_services() {
   trace_driver_->start();
   if (eco_) eco_->start();
   if (central_) central_->start();
@@ -317,61 +332,6 @@ std::string DailyScenario::config_digest() const {
                                                                      : "static");
 }
 
-void register_daily_checkpoint(ckpt::CheckpointManager& manager,
-                               dc::DataCenter& datacenter,
-                               core::EcoCloudController& controller,
-                               core::TraceDriver& trace_driver,
-                               metrics::MetricsCollector& collector,
-                               faults::FaultInjector* injector) {
-  dc::DataCenter* dc = &datacenter;
-  core::EcoCloudController* eco = &controller;
-  core::TraceDriver* driver = &trace_driver;
-  metrics::MetricsCollector* coll = &collector;
-  manager.add_section(
-      "datacenter", [dc](util::BinWriter& w) { dc->save_state(w); },
-      [dc](util::BinReader& r) { dc->load_state(r); });
-  manager.add_section(
-      "controller", [eco](util::BinWriter& w) { eco->save_state(w); },
-      [eco](util::BinReader& r) { eco->load_state(r); });
-  manager.add_section(
-      "trace_driver", [driver](util::BinWriter& w) { driver->save_state(w); },
-      [driver](util::BinReader& r) { driver->load_state(r); });
-  manager.add_section(
-      "collector", [coll](util::BinWriter& w) { coll->save_state(w); },
-      [coll](util::BinReader& r) { coll->load_state(r); });
-  if (injector != nullptr) {
-    manager.add_section(
-        "faults", [injector](util::BinWriter& w) { injector->save_state(w); },
-        [injector](util::BinReader& r) { injector->load_state(r); });
-  }
-
-  manager.add_owner(
-      sim::tag_owner::kController,
-      [eco](const sim::EventTag& tag) { return eco->rebuild_event(tag); },
-      [eco](const sim::EventTag& tag, sim::EventHandle handle) {
-        eco->bind_event(tag, handle);
-      });
-  manager.add_owner(sim::tag_owner::kTraceDriver, [driver](const sim::EventTag& tag) {
-    return driver->rebuild_event(tag);
-  });
-  manager.add_owner(sim::tag_owner::kCollector, [coll](const sim::EventTag& tag) {
-    return coll->rebuild_event(tag);
-  });
-  if (injector != nullptr) {
-    manager.add_owner(sim::tag_owner::kFaults, [injector](const sim::EventTag& tag) {
-      return injector->rebuild_event(tag);
-    });
-    manager.add_owner(
-        sim::tag_owner::kRedeploy,
-        [injector](const sim::EventTag& tag) {
-          return injector->redeploy().rebuild_event(tag);
-        },
-        [injector](const sim::EventTag& tag, sim::EventHandle handle) {
-          injector->redeploy().bind_event(tag, handle);
-        });
-  }
-}
-
 void DailyScenario::register_checkpoint(ckpt::CheckpointManager& manager) {
   util::require(eco_ != nullptr,
                 "checkpointing supports the ecoCloud algorithm only (the "
@@ -380,8 +340,49 @@ void DailyScenario::register_checkpoint(ckpt::CheckpointManager& manager) {
   manager.add_section(
       "scenario", [this](util::BinWriter& w) { w.boolean(warmup_done_); },
       [this](util::BinReader& r) { warmup_done_ = r.boolean(); });
-  register_daily_checkpoint(manager, *dc_, *eco_, *trace_driver_, *collector_,
-                            injector_.get());
+  manager.add_section(
+      "datacenter", [this](util::BinWriter& w) { dc_->save_state(w); },
+      [this](util::BinReader& r) { dc_->load_state(r); });
+  manager.add_section(
+      "controller", [this](util::BinWriter& w) { eco_->save_state(w); },
+      [this](util::BinReader& r) { eco_->load_state(r); });
+  manager.add_section(
+      "trace_driver", [this](util::BinWriter& w) { trace_driver_->save_state(w); },
+      [this](util::BinReader& r) { trace_driver_->load_state(r); });
+  manager.add_section(
+      "collector", [this](util::BinWriter& w) { collector_->save_state(w); },
+      [this](util::BinReader& r) { collector_->load_state(r); });
+  if (injector_) {
+    manager.add_section(
+        "faults", [this](util::BinWriter& w) { injector_->save_state(w); },
+        [this](util::BinReader& r) { injector_->load_state(r); });
+  }
+
+  manager.add_owner(
+      sim::tag_owner::kController,
+      [this](const sim::EventTag& tag) { return eco_->rebuild_event(tag); },
+      [this](const sim::EventTag& tag, sim::EventHandle handle) {
+        eco_->bind_event(tag, handle);
+      });
+  manager.add_owner(sim::tag_owner::kTraceDriver, [this](const sim::EventTag& tag) {
+    return trace_driver_->rebuild_event(tag);
+  });
+  manager.add_owner(sim::tag_owner::kCollector, [this](const sim::EventTag& tag) {
+    return collector_->rebuild_event(tag);
+  });
+  if (injector_) {
+    manager.add_owner(sim::tag_owner::kFaults, [this](const sim::EventTag& tag) {
+      return injector_->rebuild_event(tag);
+    });
+    manager.add_owner(
+        sim::tag_owner::kRedeploy,
+        [this](const sim::EventTag& tag) {
+          return injector_->redeploy().rebuild_event(tag);
+        },
+        [this](const sim::EventTag& tag, sim::EventHandle handle) {
+          injector_->redeploy().bind_event(tag, handle);
+        });
+  }
 }
 
 ConsolidationScenario::ConsolidationScenario(ConsolidationConfig config)

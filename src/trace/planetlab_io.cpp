@@ -58,7 +58,7 @@ TraceSet read_planetlab_dir(const std::filesystem::path& dir,
 void write_planetlab_dir(const TraceSet& set, const std::filesystem::path& dir) {
   std::filesystem::create_directories(dir);
   for (std::size_t v = 0; v < set.num_vms(); ++v) {
-    char name[16];
+    char name[24];  // "vm_" + up to 20 digits of a size_t + NUL
     std::snprintf(name, sizeof(name), "vm_%05zu", v);
     std::ofstream out(dir / name);
     util::require(out.good(),

@@ -882,7 +882,7 @@ TEST(Auditor, ParseAction) {
   EXPECT_EQ(ckpt::parse_audit_action("log"), ckpt::AuditAction::kLog);
   EXPECT_EQ(ckpt::parse_audit_action("abort"), ckpt::AuditAction::kAbort);
   EXPECT_EQ(ckpt::parse_audit_action("heal"), ckpt::AuditAction::kHeal);
-  EXPECT_THROW(ckpt::parse_audit_action("explode"), std::invalid_argument);
+  EXPECT_THROW((void)ckpt::parse_audit_action("explode"), std::invalid_argument);
   EXPECT_STREQ(ckpt::to_string(ckpt::AuditAction::kAbort), "abort");
 }
 

@@ -57,8 +57,8 @@ TEST(Topology, Validation) {
   bad_bw.inter_rack_gbps = 0.0;
   EXPECT_THROW(net::Topology(4, bad_bw), std::invalid_argument);
   net::Topology topology(4);
-  EXPECT_THROW(topology.rack_of(99), std::invalid_argument);
-  EXPECT_THROW(topology.transfer_time_s(0, 1, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)topology.rack_of(99), std::invalid_argument);
+  EXPECT_THROW((void)topology.transfer_time_s(0, 1, -1.0), std::invalid_argument);
 }
 
 TEST(TopologyIntegration, RackScopedInvitationsContactOneRack) {

@@ -346,6 +346,42 @@ TEST(ShardedDailyRun, FaultedRunIsDeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(ShardedDailyRun, ScriptedFaultsFireOnTheirOwnShard) {
+  // Each shard's schedule is the global one restricted to its servers in
+  // local ids: a scripted crash fires once, on the shard that owns the
+  // server, and the merged log names the global server. At K = 4, crash
+  // 4-5 hits shards 0 and 1 and crash 5-6 shards 1 and 2.
+  for (const auto& [schedule, first] :
+       {std::pair{"crash 4-5 3600 600", 4}, std::pair{"crash 5-6 3600 600", 5}}) {
+    SCOPED_TRACE(schedule);
+    auto config = small_config();
+    config.faults.schedule = faults::parse_fault_schedule(schedule);
+
+    par::ShardedDailyRun sharded(config, {.shards = 4, .threads = 2});
+    sharded.run();
+    std::vector<std::string> failed;
+    std::istringstream rows(events_csv(sharded));
+    for (std::string row; std::getline(rows, row);) {
+      if (row.find(",server_failed,") != std::string::npos) failed.push_back(row);
+    }
+    const std::string expected = "3600,server_failed,-1,";
+    EXPECT_EQ(failed, (std::vector<std::string>{
+                          expected + std::to_string(first) + ",0",
+                          expected + std::to_string(first + 1) + ",0"}));
+
+    // K = 1 is the single-threaded engine, scripted faults included.
+    scenario::DailyScenario reference(config);
+    metrics::EventLog reference_log;
+    reference_log.attach(*reference.ecocloud());
+    reference.run();
+    par::ShardedDailyRun single(config, {.shards = 1, .threads = 1});
+    single.run();
+    std::ostringstream reference_csv;
+    reference_log.write_csv(reference_csv);
+    EXPECT_EQ(events_csv(single), reference_csv.str());
+  }
+}
+
 // --------------------------------------------------------- checkpoint/resume
 
 TEST(ShardedDailyRun, CheckpointResumeIsBitIdenticalAcrossThreadCounts) {
@@ -439,6 +475,41 @@ TEST(ShardedDailyRun, FaultedCheckpointResumeReplaysExactly) {
   std::remove(ckpt_config.run.checkpoint_out.c_str());
 }
 
+TEST(ShardedDailyRun, ResumeBeforeWarmupReplaysExactly) {
+  // A snapshot taken before warmup_s carries every shard's pending
+  // warmup reset (its "scenario" section): the resumed run resets at the
+  // same barrier as the uninterrupted one.
+  const auto config = faulted_config();
+  par::ShardedDailyRun reference(config, {.shards = 4, .threads = 2});
+  reference.run();
+
+  auto ckpt_config = config;
+  ckpt_config.run.checkpoint_out = temp_path("pre_warmup.ckpt");
+  ckpt_config.run.checkpoint_every_s = 900.0;
+  const std::string snapshot = temp_path("pre_warmup_first.ckpt");
+  par::ShardedDailyRun checkpointed(ckpt_config, {.shards = 4, .threads = 2});
+  bool captured = false;
+  checkpointed.on_checkpoint = [&](const std::string& path) {
+    if (captured) return;
+    captured = true;
+    std::ofstream out(snapshot, std::ios::binary);
+    out << slurp(path);
+  };
+  checkpointed.run();
+  ASSERT_TRUE(captured);
+
+  par::ShardedDailyRun resumed(config, {.shards = 4, .threads = 1});
+  resumed.restore_snapshot(snapshot);
+  ASSERT_LT(resumed.shard(0).simulator().now(), config.warmup_s);
+  resumed.run();
+  EXPECT_EQ(events_csv(resumed), events_csv(reference));
+  expect_samples_identical(resumed.merged_samples(), reference.merged_samples());
+  EXPECT_EQ(resumed.stats().energy_joules, reference.stats().energy_joules);
+
+  std::remove(snapshot.c_str());
+  std::remove(ckpt_config.run.checkpoint_out.c_str());
+}
+
 TEST(ShardedDailyRun, RestoreRejectsDigestMismatch) {
   const auto config = small_config();
   const std::string snapshot = temp_path("digest.ckpt");
@@ -473,6 +544,40 @@ TEST(ShardedDailyRun, RestoreRejectsDigestMismatch) {
   }
 
   std::remove(snapshot.c_str());
+}
+
+TEST(ShardedDailyRun, RestoreRejectsUnknownCoordinatorEventKind) {
+  // The coordinator's cross-shard rows restore through EventLog's checked
+  // load: a row whose kind names no EventKind fails the restore instead
+  // of coming back as an "unknown" CSV row.
+  auto config = small_config();
+  config.run.checkpoint_out = temp_path("kind.ckpt");
+  config.run.checkpoint_every_s = 7200.0;  // one snapshot, at t = 7200 s
+  par::ShardedDailyRun source(config, {.shards = 4, .threads = 1});
+  source.run();
+
+  ckpt::Snapshot snapshot = ckpt::read_snapshot_file(config.run.checkpoint_out);
+  ckpt::SnapshotSection* coordinator = nullptr;
+  for (ckpt::SnapshotSection& section : snapshot.sections) {
+    if (section.name == "coordinator") coordinator = &section;
+  }
+  ASSERT_NE(coordinator, nullptr);
+  // Clock and cadence, six counters, then the log: row count, first time,
+  // first kind.
+  util::BinReader r(coordinator->payload);
+  for (int i = 0; i < 2; ++i) (void)r.f64();
+  for (int i = 0; i < 6; ++i) (void)r.u64();
+  ASSERT_EQ(r.u64(), 28u);
+  (void)r.f64();
+  coordinator->payload[coordinator->payload.size() - r.remaining()] =
+      static_cast<char>(200);
+  ckpt::write_snapshot_file(snapshot, config.run.checkpoint_out);
+
+  par::ShardedDailyRun resumed(small_config(), {.shards = 4, .threads = 1});
+  EXPECT_THROW(resumed.restore_snapshot(config.run.checkpoint_out),
+               ckpt::SnapshotError);
+
+  std::remove(config.run.checkpoint_out.c_str());
 }
 
 // -------------------------------------------------- epoch-order explorer
@@ -700,7 +805,7 @@ TEST(EventMerge, CsvMatchesEventLogFormat) {
       {0.125, EventKind::kActivation, dc::kNoVm, 3, false},
       {7.5, EventKind::kMigrationStart, 42, 1, true}};
   std::ostringstream out;
-  par::write_merged_events_csv(out, rows);
+  metrics::write_events_csv(out, rows);
   const std::string csv = out.str();
   EXPECT_NE(csv.find("time_s,kind,vm,server,is_high"), std::string::npos);
   EXPECT_NE(csv.find(",-1,3,"), std::string::npos);  // kNoVm -> -1

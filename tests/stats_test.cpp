@@ -108,7 +108,7 @@ TEST(Histogram, BinGeometry) {
   EXPECT_DOUBLE_EQ(h.bin_width(), 5.0);
   EXPECT_DOUBLE_EQ(h.bin_left(0), -10.0);
   EXPECT_DOUBLE_EQ(h.bin_center(1), -2.5);
-  EXPECT_THROW(h.bin_left(4), std::invalid_argument);
+  EXPECT_THROW((void)h.bin_left(4), std::invalid_argument);
 }
 
 TEST(Histogram, FractionWithinInterpolatesPartialBins) {
@@ -236,10 +236,10 @@ TEST(Quantile, Cdf) {
 
 TEST(Quantile, ErrorsOnEmptyOrBadQ) {
   stats::QuantileSketch q;
-  EXPECT_THROW(q.quantile(0.5), std::invalid_argument);
+  EXPECT_THROW((void)q.quantile(0.5), std::invalid_argument);
   q.add(1.0);
-  EXPECT_THROW(q.quantile(-0.1), std::invalid_argument);
-  EXPECT_THROW(q.quantile(1.1), std::invalid_argument);
+  EXPECT_THROW((void)q.quantile(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)q.quantile(1.1), std::invalid_argument);
 }
 
 TEST(Quantile, FreeFunctionMatchesSketch) {

@@ -324,7 +324,7 @@ TEST(PoissonArrivals, StrictlyIncreasing) {
 TEST(PoissonArrivals, RejectsRateAboveEnvelope) {
   trace::PoissonArrivals arrivals([](double) { return 2.0; }, 1.0);
   Rng rng(16);
-  EXPECT_THROW(arrivals.next_after(0.0, rng), std::invalid_argument);
+  EXPECT_THROW((void)arrivals.next_after(0.0, rng), std::invalid_argument);
 }
 
 TEST(ExponentialLifetime, MeanMatches) {
