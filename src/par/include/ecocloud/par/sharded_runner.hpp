@@ -15,7 +15,10 @@
 ///  * at the barrier the coordinator runs SERIALLY, in shard order: it
 ///    drains each shard's migration wishes (trials that fired with no
 ///    local destination) and re-runs the destination search over the
-///    other shards' fleets, transferring the VM when someone volunteers.
+///    other shards' fleets, transferring the VM when someone volunteers;
+///  * the t = 0 deploy wave runs in rounds on the same workers: each
+///    shard deploys its own rows below a frontier no refusal can precede,
+///    and a row at a frontier takes the serial owner-then-retry step.
 ///
 /// Determinism for a fixed K: shard streams never interleave (each shard
 /// owns its RNG, calendar, and fleet slice), barrier decisions are made in
@@ -59,8 +62,9 @@ struct ParConfig {
   sim::SimTime sync_interval_s = 300.0;
   /// Interleaving-explorer hook: when set, each epoch runs its shards
   /// SERIALLY in the permutation this returns for (epoch, K) instead of
-  /// on the thread pool. The correctness harness sweeps permutations to
-  /// prove the epoch execution order cannot influence the trajectory.
+  /// on the thread pool, and so does each t = 0 deploy round, for
+  /// (round, K). The correctness harness sweeps permutations to prove
+  /// the execution order cannot influence the trajectory.
   std::function<std::vector<std::size_t>(std::uint64_t, std::size_t)>
       epoch_order = {};
 };
@@ -101,7 +105,8 @@ class ShardedDailyRun {
   ShardedDailyRun(const ShardedDailyRun&) = delete;
   ShardedDailyRun& operator=(const ShardedDailyRun&) = delete;
 
-  /// Deploy all VMs at t=0 (skipped on a resumed run) and simulate to the
+  /// Deploy all VMs at t=0 (skipped on a resumed run; shard by shard, in
+  /// parallel, with the serial loop's outcome) and simulate to the
   /// horizon, honoring config.run at every barrier (a safe point, see
   /// scenario::SafePoints): audits, checkpoints (written to
   /// config.run.checkpoint_out only), and watchdog beats. Call once.
@@ -134,9 +139,10 @@ class ShardedDailyRun {
   std::function<void(const std::string&)> on_checkpoint;
 
   /// Attach a phase profiler with K+1 domains: domain k receives shard
-  /// k's samples (installed on whichever worker runs the shard's epoch),
-  /// domain K the coordinator's (hand-off, checkpoint writes, and the
-  /// per-shard barrier lag). Pure observer — attach/detach freely.
+  /// k's samples (installed on whichever worker runs the shard's epoch or
+  /// deploy round) and, when a pool ran the epoch, its barrier lag;
+  /// domain K the coordinator's (deploy-wave frontiers and serial steps,
+  /// hand-off, checkpoint writes). Pure observer — attach/detach freely.
   void set_profiler(util::PhaseProfiler* profiler);
 
   /// Wall seconds each shard spent on the most recent epoch, and how far
@@ -183,6 +189,19 @@ class ShardedDailyRun {
   [[nodiscard]] const scenario::DailyConfig& config() const { return config_; }
 
  private:
+  /// The t = 0 deploy wave: rounds that run every shard's rows below a
+  /// frontier no refusal can precede, and the serial owner-then-retry
+  /// step for a row at a frontier (DESIGN.md §12).
+  void deploy_wave();
+  /// Run \p body(k) for every shard with shard k's profiler domain
+  /// installed: serially in par_.epoch_order(round, K) when that hook is
+  /// set, else on the pool, else inline in shard order. Returns whether
+  /// the pool ran it (only then did shards wait for one another).
+  bool for_each_shard(std::uint64_t round,
+                      const std::function<void(std::size_t)>& body);
+  /// Profiler domain \p k, or the calling thread's current domain when no
+  /// profiler is attached.
+  [[nodiscard]] util::PhaseDomain* domain_of(std::size_t k) const;
   void barrier_handoff(sim::SimTime now);
   void resolve_wish(std::size_t source_shard, const MigrationWish& wish,
                     sim::SimTime now);

@@ -198,6 +198,104 @@ void ShardedDailyRun::restore_snapshot(const std::string& path) {
   resumed_ = true;
 }
 
+util::PhaseDomain* ShardedDailyRun::domain_of(std::size_t k) const {
+  return profiler_ != nullptr ? &profiler_->domain(k) : util::current_domain();
+}
+
+bool ShardedDailyRun::for_each_shard(
+    std::uint64_t round, const std::function<void(std::size_t)>& body) {
+  const std::size_t K = shards_.size();
+  const auto in_domain = [&](std::size_t k) {
+    util::DomainScope scope(domain_of(k));
+    body(k);
+  };
+  if (par_.epoch_order) {
+    const std::vector<std::size_t> order = par_.epoch_order(round, K);
+    util::require(order.size() == K,
+                  "ShardedDailyRun: epoch_order must return a permutation "
+                  "of the shard indices");
+    std::vector<std::uint8_t> seen(K, 0);
+    for (std::size_t k : order) {
+      util::require(k < K && seen[k] == 0,
+                    "ShardedDailyRun: epoch_order must return a "
+                    "permutation of the shard indices");
+      seen[k] = 1;
+      in_domain(k);
+    }
+    return false;
+  }
+  if (pool_) {
+    pool_->parallel_for(0, K, in_domain);
+    return true;
+  }
+  for (std::size_t k = 0; k < K; ++k) in_domain(k);
+  return false;
+}
+
+void ShardedDailyRun::deploy_wave() {
+  // The outcome is defined as the serial loop's: rows in global trace
+  // order, each on its owner shard, a row the owner refuses retried on
+  // the next shards in order (DESIGN.md §12, "t = 0 deploy wave"). Shards
+  // interact only through refusals, and deploy_vm refuses only when its
+  // shard has no hibernated server left; a deploy wakes at most one. So
+  // with H_k hibernated, shard k's next H_k rows cannot be refused, and
+  // every row below f = min_k(next_k + H_k·K) deploys on its owner: the
+  // shards run their rows below f concurrently, each in the serial
+  // loop's order. The row at a frontier whose shard has nothing left to
+  // wake takes the serial owner-then-retry step; at K = 1 a refused row
+  // has nowhere to go, as in DailyScenario::start.
+  const std::size_t K = shards_.size();
+  const std::size_t rows = plan_.num_traces();
+  std::size_t begin = 0;  // every row below begin is deployed
+  // Shard k's first row at or after begin (it owns the rows i ≡ k mod K).
+  const auto first_row = [&](std::size_t k) {
+    return begin + (k + K - begin % K) % K;
+  };
+  std::uint64_t round = 0;
+  while (begin < rows) {
+    std::size_t frontier = rows;
+    {
+      util::ScopedPhase profile(util::Phase::kVmLifecycle);
+      for (std::size_t k = 0; k < K; ++k) {
+        const std::size_t hibernated =
+            shards_[k]->datacenter()
+                .state_members(dc::ServerState::kHibernated)
+                .size();
+        frontier = std::min(frontier, first_row(k) + hibernated * K);
+      }
+    }
+    if (frontier > begin) {
+      // The round reads begin and frontier only; each shard writes only
+      // its own state.
+      for_each_shard(round++, [&](std::size_t k) {
+        util::ScopedPhase profile(util::Phase::kVmLifecycle);
+        for (std::size_t i = first_row(k); i < frontier; i += K) {
+          util::ensure(shards_[k]->deploy(i),
+                       "ShardedDailyRun: a t = 0 deploy below the wave "
+                       "frontier was refused");
+        }
+      });
+      begin = frontier;
+      continue;
+    }
+    util::ScopedPhase profile(util::Phase::kVmLifecycle);
+    const std::size_t owner = plan_.shard_of_trace(begin);
+    if (!shards_[owner]->deploy(begin) && K > 1) {
+      shards_[owner]->abandon_last_deploy();
+      for (std::size_t off = 1; off < K; ++off) {
+        Shard& next = *shards_[(owner + off) % K];
+        // Banks hold only their owner's rows: the retry shard adopts a
+        // copy of the cursor (all banks sit at step 0 here) before it
+        // can price and drive the VM.
+        next.adopt_trace_row(begin, *shards_[owner]);
+        if (next.deploy(begin)) break;
+        next.abandon_last_deploy();
+      }
+    }
+    ++begin;
+  }
+}
+
 void ShardedDailyRun::run() {
   util::ensure(!ran_, "ShardedDailyRun::run called twice");
   ran_ = true;
@@ -228,32 +326,15 @@ void ShardedDailyRun::run() {
     last_energy_.assign(K, 0.0);
   }
 
+  // Coordinator-side samples (wave frontiers, hand-off, checkpoints) go to
+  // the profiler's extra domain; without a profiler this re-installs the
+  // thread's current domain, a no-op.
+  util::DomainScope coordinator_scope(domain_of(K));
+
   if (!resumed_) {
     // DailyScenario::start, spread over the shards.
     for (auto& shard : shards_) shard->scenario().start_faults();
-
-    // t=0 deployment wave, in global trace order. A VM refused by its
-    // owner shard (saturation) is retried on the remaining shards in
-    // order; with K=1 there is nobody to retry on and the behavior is
-    // DailyScenario's.
-    {
-      util::ScopedPhase profile(util::Phase::kVmLifecycle);
-      for (std::size_t i = 0; i < plan_.num_traces(); ++i) {
-        const std::size_t owner = plan_.shard_of_trace(i);
-        if (shards_[owner]->deploy(i) || K == 1) continue;
-        shards_[owner]->abandon_last_deploy();
-        for (std::size_t off = 1; off < K; ++off) {
-          Shard& next = *shards_[(owner + off) % K];
-          // Banks hold only their owner's rows: the retry shard adopts a
-          // copy of the cursor (all banks sit at step 0 here) before it
-          // can price and drive the VM.
-          next.adopt_trace_row(i, *shards_[owner]);
-          if (next.deploy(i)) break;
-          next.abandon_last_deploy();
-        }
-      }
-    }
-
+    deploy_wave();
     for (auto& shard : shards_) shard->scenario().start_services();
   }
 
@@ -269,52 +350,27 @@ void ShardedDailyRun::run() {
   const sim::SimTime warmup = config_.warmup_s;
   last_epoch_wall_s_.assign(K, 0.0);
   last_barrier_lag_s_.assign(K, 0.0);
-  // Coordinator-side samples (hand-off, checkpoints, barrier lag) go to
-  // the profiler's extra domain; without a profiler this re-installs the
-  // thread's current domain, a no-op.
-  util::DomainScope coordinator_scope(
-      profiler_ != nullptr ? &profiler_->domain(K) : util::current_domain());
-  // Each worker writes only its own shard's slot; the pool join makes the
-  // writes visible to the coordinator before it reads them.
-  const auto run_shard_epoch = [&](std::size_t k, sim::SimTime until) {
-    util::DomainScope scope(profiler_ != nullptr ? &profiler_->domain(k)
-                                                 : util::current_domain());
-    const std::uint64_t t0 = util::monotonic_ns();
-    shards_[k]->scenario().run_slice(until);
-    last_epoch_wall_s_[k] =
-        static_cast<double>(util::monotonic_ns() - t0) * 1e-9;
-  };
   while (t_ < horizon) {
     sim::SimTime next = t_ + par_.sync_interval_s;
     if (warmup > t_) next = std::min(next, warmup);
     next = std::min(next, horizon);
 
-    if (par_.epoch_order) {
-      const std::vector<std::size_t> order =
-          par_.epoch_order(stats_.barriers, K);
-      util::require(order.size() == K,
-                    "ShardedDailyRun: epoch_order must return a permutation "
-                    "of the shard indices");
-      std::vector<std::uint8_t> seen(K, 0);
-      for (std::size_t k : order) {
-        util::require(k < K && seen[k] == 0,
-                      "ShardedDailyRun: epoch_order must return a "
-                      "permutation of the shard indices");
-        seen[k] = 1;
-        run_shard_epoch(k, next);
-      }
-    } else if (pool_) {
-      pool_->parallel_for(0, K,
-                          [&](std::size_t k) { run_shard_epoch(k, next); });
-    } else {
-      for (std::size_t k = 0; k < K; ++k) run_shard_epoch(k, next);
-    }
+    // Each worker writes only its own shard's slot; the pool join makes
+    // the writes visible to the coordinator before it reads them.
+    const bool pooled = for_each_shard(stats_.barriers, [&](std::size_t k) {
+      const std::uint64_t t0 = util::monotonic_ns();
+      shards_[k]->scenario().run_slice(next);
+      last_epoch_wall_s_[k] =
+          static_cast<double>(util::monotonic_ns() - t0) * 1e-9;
+    });
     const double slowest = *std::max_element(last_epoch_wall_s_.begin(),
                                              last_epoch_wall_s_.end());
     for (std::size_t k = 0; k < K; ++k) {
       last_barrier_lag_s_[k] = slowest - last_epoch_wall_s_[k];
-      if (profiler_ != nullptr) {
-        // Attributed to the shard that sat idle, not to the coordinator.
+      // Attributed to the shard that sat idle, not to the coordinator —
+      // and only when a pool ran the epoch: inline epochs run one after
+      // another on this thread, so no shard waits for another.
+      if (profiler_ != nullptr && pooled) {
         profiler_->domain(k).add(
             util::Phase::kBarrierWait,
             static_cast<std::uint64_t>(last_barrier_lag_s_[k] * 1e9));

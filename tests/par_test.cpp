@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,8 +22,10 @@
 #include "ecocloud/par/partition.hpp"
 #include "ecocloud/par/sharded_runner.hpp"
 #include "ecocloud/par/sharded_telemetry.hpp"
+#include "ecocloud/scenario/config_io.hpp"
 #include "ecocloud/scenario/scenario.hpp"
 #include "ecocloud/trace/trace_set.hpp"
+#include "ecocloud/util/phase_profiler.hpp"
 
 using namespace ecocloud;
 
@@ -91,6 +95,41 @@ void expect_samples_identical(const std::vector<metrics::Sample>& a,
     EXPECT_EQ(a[i].window_overload_vm_seconds,
               b[i].window_overload_vm_seconds);
   }
+}
+
+/// Adversarial shard execution orders for ParConfig::epoch_order:
+/// identity, reversed, and a rotation by the epoch (or deploy round).
+std::vector<std::function<std::vector<std::size_t>(std::uint64_t, std::size_t)>>
+explorer_orders() {
+  using Order = std::vector<std::size_t>;
+  return {
+      [](std::uint64_t, std::size_t k) {
+        Order order(k);
+        for (std::size_t i = 0; i < k; ++i) order[i] = i;
+        return order;
+      },
+      [](std::uint64_t, std::size_t k) {
+        Order order(k);
+        for (std::size_t i = 0; i < k; ++i) order[i] = k - 1 - i;
+        return order;
+      },
+      [](std::uint64_t epoch, std::size_t k) {
+        Order order(k);
+        for (std::size_t i = 0; i < k; ++i) order[i] = (i + epoch) % k;
+        return order;
+      },
+  };
+}
+
+/// FNV-1a 64-bit over the bytes of \p s, with engine_regression_test's
+/// constants, so a digest reads the same in both files.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 }  // namespace
@@ -583,39 +622,15 @@ TEST(ShardedDailyRun, RestoreRejectsUnknownCoordinatorEventKind) {
 // -------------------------------------------------- epoch-order explorer
 
 TEST(ShardedDailyRun, EpochExecutionOrderCannotChangeTrajectory) {
-  // Run K=3 under adversarial epoch interleavings: identity, reversed,
-  // and a per-epoch rotation. If any shard peeked at another shard's
-  // in-epoch state, some permutation would diverge.
+  // Run K=3 under adversarial epoch interleavings. If any shard peeked at
+  // another shard's in-epoch state, some permutation would diverge.
   const auto config = small_config();
 
   par::ShardedDailyRun reference(config, {.shards = 3, .threads = 2});
   reference.run();
   const std::string reference_csv = events_csv(reference);
 
-  using Order = std::vector<std::size_t>;
-  const std::vector<
-      std::function<Order(std::uint64_t, std::size_t)>>
-      orders = {
-          [](std::uint64_t, std::size_t k) {
-            Order order(k);
-            for (std::size_t i = 0; i < k; ++i) order[i] = i;
-            return order;
-          },
-          [](std::uint64_t, std::size_t k) {
-            Order order(k);
-            for (std::size_t i = 0; i < k; ++i) order[i] = k - 1 - i;
-            return order;
-          },
-          [](std::uint64_t epoch, std::size_t k) {
-            Order order(k);
-            for (std::size_t i = 0; i < k; ++i) {
-              order[i] = (i + epoch) % k;
-            }
-            return order;
-          },
-      };
-
-  for (const auto& order : orders) {
+  for (const auto& order : explorer_orders()) {
     par::ShardedDailyRun explored(
         config, {.shards = 3, .threads = 1, .epoch_order = order});
     explored.run();
@@ -624,6 +639,90 @@ TEST(ShardedDailyRun, EpochExecutionOrderCannotChangeTrajectory) {
     expect_samples_identical(explored.merged_samples(),
                              reference.merged_samples());
   }
+}
+
+// ------------------------------------------------------ t = 0 deploy wave
+
+TEST(ShardedDailyRun, SaturatedDeployWaveIsPinned) {
+  // 1,200 VMs on 16 servers: the wave runs out of hibernated servers, so
+  // rows reach the serial owner-then-retry step. The digest was recorded
+  // from the serial wave (one row at a time in global trace order); the
+  // parallel rounds must reproduce it on any thread count and in any
+  // shard order.
+  constexpr std::uint64_t kSerialWaveDigest = 12930674965698799238ULL;
+  std::ifstream in(ECOCLOUD_TEST_DATA_DIR "/par_saturated_smoke.conf");
+  ASSERT_TRUE(in) << "missing tests/data/par_saturated_smoke.conf";
+  const scenario::DailyConfig config = scenario::load_daily_config(in);
+
+  par::ShardedDailyRun run(config, {.shards = 4, .threads = 4});
+  run.run();
+  EXPECT_EQ(fnv1a(events_csv(run)), kSerialWaveDigest);
+  // The pin covers both serial-step outcomes: a row refused by every
+  // shard, and a VM queued by a shard that does not own it (assigned when
+  // its server finishes booting; hand-offs log no assignment).
+  std::size_t refused = 0;
+  std::size_t retried = 0;
+  for (std::size_t k = 0; k < run.num_shards(); ++k) {
+    const par::Shard& shard = run.shard(k);
+    for (const metrics::Event& e : shard.event_log().events()) {
+      if (e.kind == metrics::EventKind::kAssignmentFailure && e.time == 0.0) {
+        ++refused;
+      }
+      if (e.kind == metrics::EventKind::kAssignment &&
+          run.plan().shard_of_trace(shard.trace_of(e.vm)) != k) {
+        ++retried;
+      }
+    }
+  }
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(retried, 0u);
+
+  for (const std::size_t threads : {1u, 2u}) {
+    par::ShardedDailyRun other(config, {.shards = 4, .threads = threads});
+    other.run();
+    EXPECT_EQ(fnv1a(events_csv(other)), kSerialWaveDigest) << threads;
+  }
+  for (const auto& order : explorer_orders()) {
+    par::ShardedDailyRun explored(
+        config, {.shards = 4, .threads = 1, .epoch_order = order});
+    explored.run();
+    EXPECT_EQ(fnv1a(events_csv(explored)), kSerialWaveDigest);
+  }
+}
+
+TEST(ShardedDailyRun, ProfilerSeesTheDeployWave) {
+  // A 60 s horizon ends before the first boot completes (120 s), so the
+  // only VM-lifecycle work is the t = 0 wave: each shard's rounds land in
+  // its own domain, the frontiers in the coordinator's.
+  auto config = small_config();
+  config.horizon_s = 60.0;
+  config.warmup_s = 0.0;
+  par::ShardedDailyRun run(config, {.shards = 4, .threads = 2});
+  util::PhaseProfiler profiler(5);
+  run.set_profiler(&profiler);
+  run.run();
+  for (std::size_t k = 0; k <= 4; ++k) {
+    EXPECT_GT(profiler.domain(k).stats(util::Phase::kVmLifecycle).calls, 0u)
+        << profiler.domain_name(k);
+  }
+}
+
+TEST(ShardedDailyRun, InlineEpochsChargeNoBarrierWait) {
+  // One thread runs the epochs one after another: no shard waits for
+  // another, so no domain is charged barrier wait. The per-shard lag the
+  // live plane and the benchmark read is still measured.
+  par::ShardedDailyRun run(small_config(), {.shards = 4, .threads = 1});
+  util::PhaseProfiler profiler(5);
+  run.set_profiler(&profiler);
+  run.run();
+  for (std::size_t k = 0; k <= 4; ++k) {
+    const util::PhaseStats& wait =
+        profiler.domain(k).stats(util::Phase::kBarrierWait);
+    EXPECT_EQ(wait.calls, 0u) << profiler.domain_name(k);
+    EXPECT_EQ(wait.timed_ns, 0u) << profiler.domain_name(k);
+  }
+  const std::vector<double>& lag = run.last_barrier_lag_s();
+  EXPECT_GT(*std::max_element(lag.begin(), lag.end()), 0.0);
 }
 
 TEST(ShardedDailyRun, RejectsInvalidEpochOrder) {
