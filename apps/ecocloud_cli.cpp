@@ -24,23 +24,22 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "ecocloud/ckpt/auditor.hpp"
 #include "ecocloud/ckpt/checkpoint.hpp"
 #include "ecocloud/core/probability.hpp"
-#include "ecocloud/obs/chrome_trace.hpp"
 #include "ecocloud/obs/exporters.hpp"
 #include "ecocloud/obs/http_server.hpp"
-#include "ecocloud/obs/instrumentation.hpp"
-#include "ecocloud/obs/logger.hpp"
-#include "ecocloud/obs/metric_registry.hpp"
 #include "ecocloud/obs/profiler.hpp"
 #include "ecocloud/obs/progress.hpp"
+#include "ecocloud/obs/telemetry.hpp"
 #include "ecocloud/par/sharded_runner.hpp"
 #include "ecocloud/par/sharded_telemetry.hpp"
 #include "ecocloud/scenario/config_io.hpp"
@@ -176,15 +175,16 @@ class LivePlane {
   }
   [[nodiscard]] bool profiling() const { return profile_path_.has_value(); }
 
-  /// Build the profiler (when profiling) and bind the HTTP server (when
-  /// serving). \p num_domains: 1 for run-consolidation, K+1 for a daily
-  /// run. The registry must outlive this object.
-  void start(obs::MetricRegistry& registry, std::size_t num_domains) {
+  /// Build the profiler (when profiling) over \p telemetry, which then traces its
+  /// counter track, and bind the HTTP server (when serving). \p num_domains: 1 for
+  /// run-consolidation, K+1 for a daily run. \p telemetry must outlive this object.
+  void start(obs::Telemetry& telemetry, std::size_t num_domains) {
     if (!any()) return;
-    registry_ = &registry;
+    registry_ = &telemetry.registry();
     if (profiling()) {
       core_.emplace(num_domains);
-      profiler_.emplace(*core_, registry);
+      profiler_.emplace(*core_, *registry_);
+      telemetry.set_profiler(&*profiler_);
     }
     if (serve_) {
       server_.emplace(hub_, port_);
@@ -198,9 +198,6 @@ class LivePlane {
   /// thread's domain installation. Null when not profiling.
   [[nodiscard]] util::PhaseProfiler* core() {
     return core_ ? &*core_ : nullptr;
-  }
-  [[nodiscard]] obs::Profiler* profiler() {
-    return profiler_ ? &*profiler_ : nullptr;
   }
 
   /// Anchor wall-clock zero and publish a first snapshot so a scrape
@@ -283,10 +280,20 @@ struct TelemetryFlags {
            level != obs::LogLevel::kOff;
   }
 
-  /// Write --metrics-out and --metrics-json from \p registry and
-  /// --trace-out through \p write_trace.
-  void write(const obs::MetricRegistry& registry,
-             const std::function<void(std::ostream&)>& write_trace) const {
+  /// The telemetry stack's options; the log goes to --log-out (opened here) or stderr.
+  [[nodiscard]] obs::Telemetry::Options open() {
+    if (log_path) {
+      log_file.open(*log_path, std::ios::binary);
+      util::require(log_file.good(), "cannot open " + *log_path);
+    }
+    return {.trace = trace_path.has_value(), .log_level = level,
+            .log_out = log_path ? &log_file : &std::clog};
+  }
+
+  /// After Telemetry::finalize(): write --metrics-out, --metrics-json and --trace-out
+  /// from \p telemetry, and report --log-out.
+  void write(obs::Telemetry& telemetry) const {
+    const obs::MetricRegistry& registry = telemetry.registry();
     if (metrics_path) {
       write_output(*metrics_path, [&registry](std::ostream& out) {
         obs::write_prometheus(registry, out);
@@ -301,9 +308,15 @@ struct TelemetryFlags {
       std::printf("metrics JSON written to %s\n", json_path->c_str());
     }
     if (trace_path) {
-      write_output(*trace_path, write_trace);
+      write_output(*trace_path, [&telemetry](std::ostream& out) {
+        telemetry.write_trace(out);
+      });
       std::printf("trace written to %s (open in ui.perfetto.dev)\n",
                   trace_path->c_str());
+    }
+    if (log_path) {
+      std::printf("log written to %s (%llu lines)\n", log_path->c_str(),
+                  static_cast<unsigned long long>(telemetry.log_lines()));
     }
   }
 
@@ -312,6 +325,7 @@ struct TelemetryFlags {
   std::optional<std::string> trace_path;
   std::optional<std::string> log_path;
   obs::LogLevel level = obs::LogLevel::kOff;
+  std::ofstream log_file;
 };
 
 /// Run-control flags over the config file's [checkpoint] / [audit] /
@@ -362,7 +376,7 @@ int usage() {
       "                     file in ui.perfetto.dev)\n"
       "    --log-out F      structured JSONL log (default level info)\n"
       "    --log-level L    trace|debug|info|warn|error|off (stderr when no\n"
-      "                     --log-out is given, at exit for run-daily)\n"
+      "                     --log-out is given; at exit when --shards > 1)\n"
       "    --checkpoint-out F   write crash-safe snapshots to F\n"
       "    --checkpoint-every S snapshot cadence in sim seconds\n"
       "    --resume-from F      restore a snapshot and finish the run\n"
@@ -391,7 +405,6 @@ int usage() {
       "                     is deterministic for fixed K whatever the thread\n"
       "                     count; rack topology needs K = 1\n"
       "    --threads N      worker threads, at most K (default: all cores)\n"
-      "    --sync-interval S  epoch barrier period in sim seconds (300)\n"
       "  run-consolidation  assignment-only experiment (paper Sec. IV)\n"
       "    --config FILE, --csv FILE, telemetry and run-control options as\n"
       "    above; its safe points are every 300 sim seconds\n"
@@ -554,13 +567,13 @@ void print_daily_summary(const par::ShardedDailyRun& run) {
   }
 }
 
-/// Hang the live plane off the barrier hook (chained AFTER the
-/// ShardedTelemetry flush so its counters are fresh when the snapshot is
-/// rendered): refresh per-shard epoch/lag gauges, then publish /metrics
-/// and /progress. No calendar events, no RNG — pure observer.
+/// Hang the live plane off the barrier hook (chained AFTER the telemetry flush so its
+/// counters are fresh when the snapshot is rendered): refresh per-shard epoch/lag
+/// gauges, then publish /metrics and /progress. No calendar events, no RNG.
 void attach_live_plane(LivePlane& live, par::ShardedDailyRun& run,
-                       obs::MetricRegistry& registry) {
-  live.start(registry, run.num_shards() + 1);
+                       obs::Telemetry& telemetry) {
+  live.start(telemetry, run.num_shards() + 1);
+  obs::MetricRegistry& registry = telemetry.registry();
   run.set_profiler(live.core());
   std::vector<obs::Gauge*> epoch_gauges;
   std::vector<obs::Gauge*> lag_gauges;
@@ -609,29 +622,13 @@ int run_daily(Options& options) {
   par::ParConfig par;
   par.shards = options.get_uint("shards", 1).value_or(par.shards);
   par.threads = options.get_uint("threads", 0).value_or(par.threads);
-  par.sync_interval_s = options.get_double("sync-interval", par.sync_interval_s);
-  util::require(par.sync_interval_s > 0.0,
-                "--sync-interval wants a positive number of sim seconds");
   LivePlane live(options);
-  const TelemetryFlags telemetry_flags(options);
+  TelemetryFlags telemetry_flags(options);
   options.reject_unknown();
   for (const auto& path : {csv_path, events_path}) {
     if (path) require_writable(*path);
   }
 
-  if (par.sync_interval_s > config.horizon_s) {
-    std::fprintf(stderr,
-                 "warning: --sync-interval %.0f s exceeds the %.0f s horizon; "
-                 "the whole run is one epoch and cross-shard hand-off only "
-                 "happens at the end\n",
-                 par.sync_interval_s, config.horizon_s);
-  } else if (par.sync_interval_s > 86400.0) {
-    std::fprintf(stderr,
-                 "warning: --sync-interval %.0f s exceeds a simulated day; "
-                 "stranded migrations wait that long for a cross-shard "
-                 "hand-off\n",
-                 par.sync_interval_s);
-  }
   par::ShardedDailyRun run(std::move(config), par);
   std::printf(
       "daily run: %zu servers, %zu VMs, %.0f h (+%.0f h warm-up), "
@@ -645,13 +642,11 @@ int run_daily(Options& options) {
                 run.shard(0).simulator().now());
   }
 
-  std::optional<par::ShardedTelemetry> telemetry;
+  std::unique_ptr<obs::Telemetry> telemetry;
   if (telemetry_flags.any() || live.any()) {
-    telemetry.emplace(run, par::ShardedTelemetry::Options{
-                               telemetry_flags.trace_path.has_value(),
-                               telemetry_flags.level});
+    telemetry = par::attach_telemetry(run, telemetry_flags.open());
   }
-  if (live.any()) attach_live_plane(live, run, telemetry->registry());
+  if (live.any()) attach_live_plane(live, run, *telemetry);
 
   run.run();
   const sim::SimTime horizon = run.config().horizon_s;
@@ -669,21 +664,7 @@ int run_daily(Options& options) {
     std::printf("event log written to %s (%zu events%s)\n", events_path->c_str(),
                 rows, as_csv ? "" : "; binary, convert with eventlog2csv");
   }
-  if (telemetry) {
-    telemetry_flags.write(telemetry->registry(), [&telemetry](std::ostream& out) {
-      telemetry->write_trace(out);
-    });
-    if (telemetry_flags.log_path) {
-      write_output(*telemetry_flags.log_path, [&telemetry](std::ostream& out) {
-        telemetry->write_log(out);
-      });
-      std::printf("log written to %s (%llu lines)\n",
-                  telemetry_flags.log_path->c_str(),
-                  static_cast<unsigned long long>(telemetry->log_lines()));
-    } else if (telemetry_flags.level != obs::LogLevel::kOff) {
-      telemetry->write_log(std::clog);
-    }
-  }
+  if (telemetry) telemetry_flags.write(*telemetry);
   return 0;
 }
 
@@ -692,7 +673,7 @@ int run_consolidation(Options& options) {
   const auto csv_path = options.get("csv");
   const auto resume_path = parse_run_control(options, config.run);
   LivePlane live(options);
-  const TelemetryFlags telemetry_flags(options);
+  TelemetryFlags telemetry_flags(options);
   options.reject_unknown();
   if (csv_path) require_writable(*csv_path);
 
@@ -710,50 +691,30 @@ int run_consolidation(Options& options) {
 
   // Telemetry observes the one calendar; it flushes, and the live plane
   // publishes, at every safe point.
-  obs::MetricRegistry registry;
-  obs::Logger logger;
-  std::ofstream log_file;
-  std::optional<obs::ChromeTraceWriter> trace;
-  std::optional<obs::Instrumentation> instr;
+  std::unique_ptr<obs::Telemetry> telemetry;
   if (telemetry_flags.any() || live.any()) {
-    if (telemetry_flags.trace_path) trace.emplace();
-    if (telemetry_flags.log_path) {
-      log_file.open(*telemetry_flags.log_path);
-      util::require(log_file.good(), "cannot open " + *telemetry_flags.log_path);
-      logger.set_sink(&log_file);
-    } else if (telemetry_flags.level != obs::LogLevel::kOff) {
-      logger.set_sink(&std::clog);
-    }
-    logger.set_level(telemetry_flags.level);
-    logger.set_clock([&sim] { return sim.now(); });
-    instr.emplace(registry, logger, trace ? &*trace : nullptr);
-    instr->attach_engine(sim);
-    instr->attach_datacenter(cons.datacenter());
-    instr->attach_controller(cons.controller());
-    if (!cons.config().run.checkpoint_out.empty() || cons.auditor() != nullptr) {
-      instr->attach_robustness([&cons] {
-        const ckpt::CheckpointManager::Stats& c = cons.checkpoints().stats();
-        obs::RobustnessSample sample{.checkpoints_written = c.checkpoints_written,
-                                     .snapshot_bytes_last = c.snapshot_bytes_last,
-                                     .save_wall_seconds_total =
-                                         c.save_wall_seconds_total};
-        if (const ckpt::RuntimeAuditor* auditor = cons.auditor()) {
-          sample.audits_run = auditor->stats().audits_run;
-          sample.audits_failed = auditor->stats().audits_failed;
-          sample.heals_applied = auditor->stats().heals_applied;
-        }
-        return sample;
-      });
-    }
-    live.start(registry, /*num_domains=*/1);
+    telemetry = std::make_unique<obs::Telemetry>(
+        std::vector<obs::ObservedCalendar>{{.simulator = &sim,
+                                            .datacenter = &cons.datacenter(),
+                                            .controller = &cons.controller()}},
+        telemetry_flags.open());
+    telemetry->attach_robustness([&cons] {
+      const ckpt::CheckpointManager::Stats& c = cons.checkpoints().stats();
+      const ckpt::RuntimeAuditor::Stats audits =
+          cons.auditor() ? cons.auditor()->stats() : ckpt::RuntimeAuditor::Stats{};
+      return obs::RobustnessSample{.checkpoints_written = c.checkpoints_written,
+                                   .snapshot_bytes_last = c.snapshot_bytes_last,
+                                   .save_wall_seconds_total = c.save_wall_seconds_total,
+                                   .audits_run = audits.audits_run,
+                                   .audits_failed = audits.audits_failed,
+                                   .heals_applied = audits.heals_applied};
+    });
+    live.start(*telemetry, /*num_domains=*/1);
     // The run executes on this thread; one domain covers it.
     if (live.core() != nullptr) util::set_current_domain(&live.core()->domain(0));
     cons.on_safe_point = [&](sim::SimTime t) {
-      instr->flush_now(t);
+      telemetry->flush_now(t);
       live.publish(t, sim.executed_events());
-      if (trace && live.profiler() != nullptr) {
-        live.profiler()->emit_counter_track(*trace, t);
-      }
     };
   }
   live.begin(sim.now(), cons.config().horizon_s, sim.executed_events());
@@ -764,10 +725,7 @@ int run_consolidation(Options& options) {
     cons.run();
   }
   const sim::SimTime horizon = cons.config().horizon_s;
-  if (instr) instr->finalize(horizon);
-  if (trace && live.profiler() != nullptr) {
-    live.profiler()->emit_counter_track(*trace, horizon);
-  }
+  if (telemetry) telemetry->finalize(horizon);
   live.finish(horizon, sim.executed_events());
 
   const auto& d = cons.datacenter();
@@ -791,15 +749,7 @@ int run_consolidation(Options& options) {
                 1e3 * c.save_wall_seconds_last);
   }
   if (csv_path) write_series_csv(*csv_path, cons.collector().samples());
-  if (instr) {
-    telemetry_flags.write(registry,
-                          [&trace](std::ostream& out) { trace->write(out); });
-    if (telemetry_flags.log_path) {
-      std::printf("log written to %s (%llu lines)\n",
-                  telemetry_flags.log_path->c_str(),
-                  static_cast<unsigned long long>(logger.lines_written()));
-    }
-  }
+  if (telemetry) telemetry_flags.write(*telemetry);
   return 0;
 }
 

@@ -93,7 +93,10 @@ bool EcoCloudController::deploy_vm(dc::VmId vm) {
 
   // Every active server declined: the load is outgrowing the active set.
   // Prefer a server that is already booting; otherwise wake one.
-  if (queue_on_booting(vm)) return true;
+  if (const auto booting = booting_with_room(dc_.vm(vm).demand_mhz)) {
+    queue_vm(*booting, vm);
+    return true;
+  }
 
   if (auto woken = wake_one_server()) {
     queue_vm(*woken, vm);
@@ -102,44 +105,6 @@ bool EcoCloudController::deploy_vm(dc::VmId vm) {
 
   ++assignment_failures_;
   if (events_.on_assignment_failure) events_.on_assignment_failure(now, vm);
-  return false;
-}
-
-bool EcoCloudController::queue_on_booting(dc::VmId vm) {
-  const dc::Vm& machine = dc_.vm(vm);
-  if (params_.fast_sampler) {
-    // Probe a few random open-boot entries instead of scanning every boot
-    // queue. Closure keeps the registry mostly-fit, so the first probe
-    // nearly always lands; when all probes miss, the caller wakes another
-    // server — at worst a slightly eager wake, never an over-commitment.
-    for (std::size_t probe = 0;
-         probe < kBootProbeCount && !open_boot_.empty(); ++probe) {
-      const dc::ServerId sid = open_boot_[rng_.index(open_boot_.size())];
-      const auto it = boot_queues_.find(sid);
-      const dc::Server& server = dc_.server(sid);
-      if (it == boot_queues_.end() || !server.booting()) continue;
-      const double committed =
-          it->second.queued_mhz + server.reserved_mhz() + machine.demand_mhz;
-      if (committed / server.capacity_mhz() <= params_.ta) {
-        queue_vm(sid, vm);
-        return true;
-      }
-    }
-    return false;
-  }
-  for (auto& [server_id, queue] : boot_queues_) {
-    const dc::Server& server = dc_.server(server_id);
-    if (!server.booting()) continue;
-    // Count capacity reserved for inbound migrations too (as
-    // booting_with_room does) — otherwise a server can be over-committed by
-    // queued deployments racing in-flight migrations to the same target.
-    const double committed =
-        queue.queued_mhz + server.reserved_mhz() + machine.demand_mhz;
-    if (committed / server.capacity_mhz() <= params_.ta) {
-      queue_vm(server_id, vm);
-      return true;
-    }
-  }
   return false;
 }
 
@@ -173,6 +138,10 @@ std::optional<dc::ServerId> EcoCloudController::wake_one_server() {
 std::optional<dc::ServerId> EcoCloudController::booting_with_room(
     double demand_mhz) {
   if (params_.fast_sampler) {
+    // Probe a few random open-boot entries instead of scanning every boot
+    // queue. Closure keeps the registry mostly-fit, so the first probe
+    // nearly always lands; when all probes miss, a deployment wakes another
+    // server — at worst a slightly eager wake, never an over-commitment.
     for (std::size_t probe = 0;
          probe < kBootProbeCount && !open_boot_.empty(); ++probe) {
       const dc::ServerId sid = open_boot_[rng_.index(open_boot_.size())];
@@ -188,6 +157,9 @@ std::optional<dc::ServerId> EcoCloudController::booting_with_room(
   for (const auto& [server_id, queue] : boot_queues_) {
     const dc::Server& server = dc_.server(server_id);
     if (!server.booting()) continue;
+    // Count capacity reserved for inbound migrations too — otherwise a
+    // server can be over-committed by queued deployments racing in-flight
+    // migrations to the same target.
     const double committed = queue.queued_mhz + server.reserved_mhz() + demand_mhz;
     if (committed / server.capacity_mhz() <= params_.ta) return server_id;
   }

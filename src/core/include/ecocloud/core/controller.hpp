@@ -222,8 +222,6 @@ class EcoCloudController {
   void rollback_migrations_touching(dc::ServerId server);
   /// Pick a hibernated server and start booting it; returns its id.
   std::optional<dc::ServerId> wake_one_server();
-  /// Try to queue \p vm on an already-booting server with room under Ta.
-  bool queue_on_booting(dc::VmId vm);
   void queue_vm(dc::ServerId booting_server, dc::VmId vm);
   void on_boot_finished(dc::ServerId s);
   void schedule_hibernation_check(dc::ServerId s);
@@ -264,9 +262,10 @@ class EcoCloudController {
     sim::EventHandle done;
   };
 
-  /// Booting server with room for an inbound migration of \p demand_mhz.
-  /// Non-const: the fast sampler probes the open-boot registry with RNG
-  /// draws instead of scanning every boot queue.
+  /// Booting server with room under Ta for \p demand_mhz more (a
+  /// deployment to queue, or an inbound migration). Non-const: the fast
+  /// sampler probes the open-boot registry with RNG draws instead of
+  /// scanning every boot queue.
   std::optional<dc::ServerId> booting_with_room(double demand_mhz);
   std::unordered_map<dc::ServerId, BootQueue> boot_queues_;
   std::unordered_map<dc::VmId, dc::ServerId> queued_on_;

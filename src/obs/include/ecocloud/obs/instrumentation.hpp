@@ -39,18 +39,6 @@
 
 namespace ecocloud::obs {
 
-/// Pull-mode snapshot of the robustness machinery (checkpoint manager +
-/// runtime auditor), supplied by a callback so obs stays decoupled from
-/// the ckpt module.
-struct RobustnessSample {
-  std::uint64_t checkpoints_written = 0;
-  std::uint64_t snapshot_bytes_last = 0;
-  double save_wall_seconds_total = 0.0;
-  std::uint64_t audits_run = 0;
-  std::uint64_t audits_failed = 0;
-  std::uint64_t heals_applied = 0;
-};
-
 /// Identity of the shard an Instrumentation observes. A sharded run gives
 /// every shard its own Instrumentation over ONE shared registry: the
 /// shard label keeps the series apart, the pid offset keeps the trace
@@ -93,22 +81,13 @@ class Instrumentation {
   /// stats and redeploy queue.
   void attach_faults(const faults::FaultInjector& injector);
 
-  /// Register pull-mode metrics over the checkpoint/audit machinery.
-  /// \p sample is polled when an exporter reads the registry. The series
-  /// describe the whole run, so they never carry a shard label.
-  void attach_robustness(std::function<RobustnessSample()> sample);
-
-  /// Flush the logger and sample the trace counters. Drivers call this at
-  /// safe points (ShardedDailyRun::on_barrier,
-  /// ConsolidationScenario::on_safe_point).
+  /// Flush the logger and sample the trace counters, at a driver's safe
+  /// point (through Telemetry::flush_now).
   void flush_now(sim::SimTime now);
 
   /// Close open trace spans (server states, in-flight migrations) at
   /// \p end and flush the logger. Call once, after the run.
   void finalize(sim::SimTime end);
-
-  [[nodiscard]] MetricRegistry& registry() { return registry_; }
-  [[nodiscard]] Logger& logger() { return logger_; }
 
  private:
   void open_server_span(dc::ServerId server, const char* state,

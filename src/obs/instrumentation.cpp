@@ -1,6 +1,5 @@
 #include "ecocloud/obs/instrumentation.hpp"
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -135,7 +134,7 @@ void Instrumentation::attach_datacenter(const dc::DataCenter& datacenter) {
       "ecocloud_servers",
       [dc] {
         return static_cast<double>(
-            dc->servers_with(dc::ServerState::kHibernated).size());
+            dc->state_members(dc::ServerState::kHibernated).size());
       },
       labels({{"state", "hibernated"}}), "Servers currently in each state");
   registry_.gauge_fn(
@@ -518,32 +517,6 @@ void Instrumentation::attach_faults(const faults::FaultInjector& injector) {
       "ecocloud_downtime_vm_seconds",
       [inj] { return inj->stats().downtime_vm_seconds(); }, labels({}),
       "Accumulated VM downtime attributed to faults");
-}
-
-void Instrumentation::attach_robustness(std::function<RobustnessSample()> sample) {
-  const auto poll =
-      std::make_shared<std::function<RobustnessSample()>>(std::move(sample));
-  registry_.counter_fn(
-      "ecocloud_checkpoints_written_total",
-      [poll] { return (*poll)().checkpoints_written; }, {},
-      "Crash-safe snapshots written");
-  registry_.gauge_fn(
-      "ecocloud_checkpoint_bytes_last",
-      [poll] { return static_cast<double>((*poll)().snapshot_bytes_last); },
-      {}, "Payload size of the most recent snapshot");
-  registry_.gauge_fn(
-      "ecocloud_checkpoint_save_seconds_total",
-      [poll] { return (*poll)().save_wall_seconds_total; }, {},
-      "Wall-clock time spent writing snapshots");
-  registry_.counter_fn(
-      "ecocloud_audits_run_total", [poll] { return (*poll)().audits_run; },
-      {}, "Invariant audits executed");
-  registry_.counter_fn(
-      "ecocloud_audits_failed_total", [poll] { return (*poll)().audits_failed; },
-      {}, "Invariant audits that found at least one violation");
-  registry_.counter_fn(
-      "ecocloud_audit_heals_total", [poll] { return (*poll)().heals_applied; },
-      {}, "Cache-rebuild heal actions applied by the auditor");
 }
 
 void Instrumentation::flush_now(sim::SimTime now) {

@@ -5,8 +5,10 @@
 /// synchronization over K independent shards.
 ///
 /// Execution model (DESIGN.md Sec. 12):
-///  * the horizon is cut into epochs of sync_interval_s (aligned so the
-///    warmup boundary and the horizon are barrier times);
+///  * the horizon is cut into epochs of scenario::kSafePointPeriodS, the
+///    5-minute trace tick (aligned so the warmup boundary and the horizon
+///    are barrier times): cross-shard relief reacts on the same timescale
+///    as the demand changes that cause it;
 ///  * within an epoch every shard advances its own calendar independently
 ///    — a ThreadPool of min(threads, K) workers runs them concurrently
 ///    (one worker: no pool, the calling thread runs them in order), but
@@ -56,10 +58,6 @@ struct ParConfig {
   /// Worker threads (0 -> hardware concurrency), capped at the shard
   /// count.
   std::size_t threads = 0;
-  /// Epoch length between barriers. The default matches the 5-minute
-  /// trace tick: cross-shard relief then reacts on the same timescale as
-  /// the demand changes that cause it.
-  sim::SimTime sync_interval_s = 300.0;
   /// Interleaving-explorer hook: when set, each epoch runs its shards
   /// SERIALLY in the permutation this returns for (epoch, K) instead of
   /// on the thread pool, and so does each t = 0 deploy round, for
@@ -120,8 +118,8 @@ class ShardedDailyRun {
   void save_snapshot(const std::string& path);
 
   /// Restore a snapshot written by save_snapshot into this freshly
-  /// constructed run (same config, same K, same sync interval — enforced
-  /// via the stored digest; the thread count is free). run() then
+  /// constructed run (same config and K — enforced via the stored
+  /// digest; the thread count is free). run() then
   /// continues from the snapshot's barrier and produces byte-identical
   /// output to the uninterrupted run. The snapshot also carries the
   /// writing run's checkpoint cadence, which the resumed run keeps unless
@@ -210,7 +208,7 @@ class ShardedDailyRun {
   /// Hand every stitched global event row to \p sink, in output order.
   void merge_events(const EventSink& sink) const;
   /// Digest stored in snapshots: the daily digest plus shard count and
-  /// sync interval, so snapshots only restore into the same trajectory.
+  /// epoch length, so snapshots only restore into the same trajectory.
   [[nodiscard]] std::string config_digest() const;
   /// The safe-point duties (audits, checkpoint, watchdog beat) and the
   /// on_barrier hook — runs serially after the hand-off with t_ already at

@@ -39,8 +39,6 @@ ShardedDailyRun::ShardedDailyRun(scenario::DailyConfig config, ParConfig par)
       safe_points_(config_.run) {
   config_.params.validate();
   config_.faults.validate();
-  util::require(par_.sync_interval_s > 0.0,
-                "ShardedDailyRun: sync interval must be > 0");
   util::require(!config_.topology || par_.shards == 1,
                 "ShardedDailyRun: rack topology needs a single shard "
                 "(invitations would need cross-shard rack scoping)");
@@ -84,8 +82,10 @@ void ShardedDailyRun::ensure_managers() {
 std::string ShardedDailyRun::config_digest() const {
   std::string digest = scenario::daily_config_digest(config_, "eco");
   digest += " shards=" + std::to_string(plan_.num_shards());
+  // Epoch length, kept in the digest so snapshots written when it was a
+  // setting still restore.
   char buf[48];
-  std::snprintf(buf, sizeof(buf), " sync=%.17g", par_.sync_interval_s);
+  std::snprintf(buf, sizeof(buf), " sync=%.17g", scenario::kSafePointPeriodS);
   digest += buf;
   return digest;
 }
@@ -340,7 +340,7 @@ void ShardedDailyRun::run() {
 
   safe_points_.begin(t_);
 
-  // Epoch loop. Barrier times are multiples of the sync interval clipped
+  // Epoch loop. Barrier times are multiples of the safe-point period clipped
   // to the warmup boundary and the horizon, so the accounting reset
   // (DailyScenario::run_slice, at the end of the epoch that reaches
   // warmup) and the final settle happen at exactly the single-threaded
@@ -351,7 +351,7 @@ void ShardedDailyRun::run() {
   last_epoch_wall_s_.assign(K, 0.0);
   last_barrier_lag_s_.assign(K, 0.0);
   while (t_ < horizon) {
-    sim::SimTime next = t_ + par_.sync_interval_s;
+    sim::SimTime next = t_ + scenario::kSafePointPeriodS;
     if (warmup > t_) next = std::min(next, warmup);
     next = std::min(next, horizon);
 

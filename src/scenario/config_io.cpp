@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -26,13 +27,20 @@ void require_key(const util::KeyValueConfig& kv, bool ok,
   throw std::invalid_argument(message);
 }
 
-/// Read a non-negative integer key (size_t fields must reject negatives
+/// Read an integer key >= \p min (size_t fields must reject negatives
 /// instead of wrapping through the cast).
 std::size_t get_size(const util::KeyValueConfig& kv, const std::string& key,
-                     std::size_t fallback) {
+                     std::size_t fallback, long long min = 0) {
   const long long value = kv.get_int(key, static_cast<long long>(fallback));
-  require_key(kv, value >= 0, key, "must be >= 0");
+  require_key(kv, value >= min, key,
+              ("must be >= " + std::to_string(min)).c_str());
   return static_cast<std::size_t>(value);
+}
+
+/// A server's core count: at least one, and it must fit the unsigned
+/// field instead of wrapping through the cast.
+bool is_core_count(long long cores) {
+  return cores >= 1 && cores <= std::numeric_limits<unsigned>::max();
 }
 
 /// The horizon must cut into a representable number of trace samples
@@ -138,7 +146,8 @@ DailyConfig load_daily_config(std::istream& in) {
   const auto kv = util::KeyValueConfig::parse(in);
   DailyConfig config;
 
-  config.fleet.num_servers = get_size(kv, "servers", config.fleet.num_servers);
+  config.fleet.num_servers =
+      get_size(kv, "servers", config.fleet.num_servers, /*min=*/1);
   config.fleet.core_mhz = kv.get_double("core_mhz", config.fleet.core_mhz);
   config.fleet.ram_per_core_mb =
       kv.get_double("ram_per_core_mb", config.fleet.ram_per_core_mb);
@@ -147,7 +156,8 @@ DailyConfig load_daily_config(std::istream& in) {
     config.fleet.core_mix.clear();
     for (const std::string& part : util::split(mix, ',')) {
       const long long cores = util::parse_int(part);
-      util::require(cores > 0, "core_mix entries must be positive");
+      require_key(kv, is_core_count(cores), "core_mix",
+                  "entries must be in [1, 4294967295]");
       config.fleet.core_mix.push_back(static_cast<unsigned>(cores));
     }
   }
@@ -180,6 +190,10 @@ DailyConfig load_daily_config(std::istream& in) {
   load_params(kv, config.params);
   load_workload(kv, config.workload);
   check_horizon(kv, config.horizon_s, config.workload.sample_period_s);
+  require_key(kv,
+              std::isfinite(config.warmup_s) && config.warmup_s >= 0.0 &&
+                  config.warmup_s < config.horizon_s,
+              "warmup_hours", "must be finite, >= 0 and < horizon_hours");
   load_faults(kv, config.faults);
   load_run_control(kv, config.run);
   kv.require_all_used();
@@ -191,9 +205,11 @@ ConsolidationConfig load_consolidation_config(std::istream& in) {
   const auto kv = util::KeyValueConfig::parse(in);
   ConsolidationConfig config;
 
-  config.num_servers = get_size(kv, "servers", config.num_servers);
-  config.cores_per_server = static_cast<unsigned>(
-      kv.get_int("cores_per_server", config.cores_per_server));
+  config.num_servers = get_size(kv, "servers", config.num_servers, /*min=*/1);
+  const long long cores = kv.get_int("cores_per_server", config.cores_per_server);
+  require_key(kv, is_core_count(cores), "cores_per_server",
+              "must be in [1, 4294967295]");
+  config.cores_per_server = static_cast<unsigned>(cores);
   config.core_mhz = kv.get_double("core_mhz", config.core_mhz);
   config.initial_vms = get_size(kv, "initial_vms", config.initial_vms);
   config.horizon_s =

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "ecocloud/scenario/config_io.hpp"
 #include "ecocloud/trace/planetlab_io.hpp"
@@ -156,6 +157,60 @@ TEST(ConfigIo, DailyRejectsInvalidParameters) {
   std::istringstream negative_vms("initial_vms = -1\n");
   EXPECT_THROW((void)scenario::load_consolidation_config(negative_vms),
                std::invalid_argument);
+}
+
+TEST(ConfigIo, RejectsWrappedCoreCountsBadWarmupsAndEmptyFleets) {
+  // Each of these used to load and then run wrong: a core count wrapped
+  // through the unsigned cast, a warm-up that is not a finite, non-negative
+  // time before the horizon (no accounting reset ever happened), a fleet
+  // of no servers. Each is refused by key and line.
+  const auto expect_refused = [](auto load, const std::string& text,
+                                 const std::string& key, int line) {
+    std::istringstream in(text);
+    try {
+      (void)load(in);
+      ADD_FAILURE() << "config accepted: " << text;
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("(line " + std::to_string(line) + ")"),
+                std::string::npos)
+          << what;
+    }
+  };
+  const auto daily = [](std::istream& in) {
+    return scenario::load_daily_config(in);
+  };
+  const auto consolidation = [](std::istream& in) {
+    return scenario::load_consolidation_config(in);
+  };
+  expect_refused(daily, "core_mix = 4294967297\n", "core_mix", 1);
+  expect_refused(daily, "core_mix = 4,0\n", "core_mix", 1);
+  expect_refused(daily, "core_mix = -2\n", "core_mix", 1);
+  expect_refused(daily, "warmup_hours = nan\n", "warmup_hours", 1);
+  expect_refused(daily, "warmup_hours = -3\n", "warmup_hours", 1);
+  expect_refused(daily, "warmup_hours = inf\n", "warmup_hours", 1);
+  expect_refused(daily, "horizon_hours = 2\nwarmup_hours = 5\n",
+                 "warmup_hours", 2);
+  expect_refused(daily, "horizon_hours = 2\nwarmup_hours = 2\n",
+                 "warmup_hours", 2);
+  expect_refused(daily, "servers = 0\n", "servers", 1);
+  expect_refused(consolidation, "cores_per_server = -1\n", "cores_per_server", 1);
+  expect_refused(consolidation, "cores_per_server = 0\n", "cores_per_server", 1);
+  expect_refused(consolidation, "servers = 40\ncores_per_server = 4294967302\n",
+                 "cores_per_server", 2);
+  expect_refused(consolidation, "servers = 0\n", "servers", 1);
+
+  // The edges of each range still load.
+  std::istringstream daily_edges(
+      "servers = 1\ncore_mix = 1,4294967295\nhorizon_hours = 2\n"
+      "warmup_hours = 1.5\n");
+  const auto edges = scenario::load_daily_config(daily_edges);
+  EXPECT_EQ(edges.fleet.core_mix, (std::vector<unsigned>{1u, 4294967295u}));
+  EXPECT_DOUBLE_EQ(edges.warmup_s, 1.5 * sim::kHour);
+  std::istringstream cons_edges("servers = 1\ncores_per_server = 4294967295\n");
+  EXPECT_EQ(scenario::load_consolidation_config(cons_edges).cores_per_server,
+            4294967295u);
 }
 
 TEST(ConfigIo, ConsolidationDefaultsAndOverrides) {

@@ -475,11 +475,11 @@ TEST(Controller, OrphanHandlerReceivesCrashVictims) {
 }
 
 TEST(Controller, BootQueueCountsInboundMigrationReservations) {
-  // Regression: queue_on_booting used to ignore capacity reserved for
-  // in-flight migrations, so a queued deployment racing a migration to the
-  // same booting target could over-commit it past Ta (and even past
-  // physical capacity). The queue check must mirror booting_with_room and
-  // count queued + reserved + new demand.
+  // Regression: the deploy path's boot-queue check used to ignore capacity
+  // reserved for in-flight migrations, so a queued deployment racing a
+  // migration to the same booting target could over-commit it past Ta (and
+  // even past physical capacity). The check is booting_with_room's:
+  // queued + reserved + new demand.
   Fixture f;
   const auto s0 = f.datacenter.add_server(1, 2000.0);
   f.datacenter.add_server(1, 2000.0);

@@ -18,6 +18,7 @@
 #include "ecocloud/obs/instrumentation.hpp"
 #include "ecocloud/obs/logger.hpp"
 #include "ecocloud/obs/metric_registry.hpp"
+#include "ecocloud/obs/telemetry.hpp"
 #include "ecocloud/scenario/scenario.hpp"
 #include "ecocloud/sim/simulator.hpp"
 
@@ -464,6 +465,63 @@ TEST(ObsRegression, EventStreamBitIdenticalWithTelemetry) {
 
   EXPECT_EQ(instr_run.simulator().executed_events(),
             bare.simulator().executed_events());
+}
+
+// The Sec. IV driver under the same stack the CLI builds: a trace,
+// trace-level logs and a flush at every safe point leave the collector's
+// samples and the executed events exactly the bare run's.
+TEST(ObsRegression, ConsolidationRunIdenticalWithTelemetry) {
+  scenario::ConsolidationConfig config;
+  config.num_servers = 30;
+  config.initial_vms = 300;
+  config.horizon_s = 3.0 * sim::kHour;
+  config.mean_lifetime_s = sim::kHour;
+  config.seed = 11;
+
+  scenario::ConsolidationScenario bare(config);
+  bare.run();
+
+  scenario::ConsolidationScenario observed(config);
+  std::ostringstream log;
+  obs::Telemetry telemetry({{.simulator = &observed.simulator(),
+                             .datacenter = &observed.datacenter(),
+                             .controller = &observed.controller()}},
+                           {.trace = true,
+                            .log_level = obs::LogLevel::kTrace,
+                            .log_out = &log});
+  telemetry.attach_robustness([] { return obs::RobustnessSample{}; });
+  std::size_t safe_points = 0;
+  observed.on_safe_point = [&](sim::SimTime t) {
+    telemetry.flush_now(t);
+    ++safe_points;
+  };
+  observed.run();
+  telemetry.finalize(config.horizon_s);
+
+  EXPECT_EQ(safe_points,
+            static_cast<std::size_t>(config.horizon_s / scenario::kSafePointPeriodS));
+  EXPECT_GT(telemetry.log_lines(), 0u);
+  std::ostringstream trace;
+  telemetry.write_trace(trace);
+  EXPECT_NE(trace.str().find("\"ph\":\"X\""), std::string::npos);
+
+  const auto& a = observed.collector().samples();
+  const auto& b = bare.collector().samples();
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_GT(a.size(), 0u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].time, b[i].time);
+    EXPECT_EQ(a[i].active_servers, b[i].active_servers);
+    EXPECT_EQ(a[i].booting_servers, b[i].booting_servers);
+    EXPECT_EQ(a[i].overall_load, b[i].overall_load);
+    EXPECT_EQ(a[i].power_w, b[i].power_w);
+    EXPECT_EQ(a[i].overload_percent, b[i].overload_percent);
+    EXPECT_EQ(a[i].window_energy_j, b[i].window_energy_j);
+  }
+  EXPECT_EQ(observed.simulator().executed_events(),
+            bare.simulator().executed_events());
+  EXPECT_EQ(observed.datacenter().energy_joules(),
+            bare.datacenter().energy_joules());
 }
 
 // ---------------------------------------------------- exporter hardening

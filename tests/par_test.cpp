@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -66,6 +67,10 @@ std::vector<metrics::Event> merged_rows(
   par::merge_event_streams(
       streams, [&rows](const metrics::Event& e) { rows.push_back(e); });
   return rows;
+}
+
+std::uint64_t line_count(const std::string& text) {
+  return static_cast<std::uint64_t>(std::count(text.begin(), text.end(), '\n'));
 }
 
 std::string events_csv(const par::ShardedDailyRun& run) {
@@ -206,21 +211,10 @@ TEST(ShardedDailyRun, RejectsTopologyAndBadSyncInterval) {
   // Racks with K > 1 are the one remaining exclusion (invitations would
   // need cross-shard rack scoping); faults, checkpointing, auditing, and
   // telemetry all compose with sharding now.
-  {
-    auto config = small_config();
-    config.topology = net::TopologyConfig{};
-    EXPECT_THROW(par::ShardedDailyRun(config, {.shards = 2}),
-                 std::invalid_argument);
-  }
-  {
-    const auto config = small_config();
-    EXPECT_THROW(
-        par::ShardedDailyRun(config, {.shards = 2, .sync_interval_s = 0.0}),
-        std::invalid_argument);
-    EXPECT_THROW(
-        par::ShardedDailyRun(config, {.shards = 2, .sync_interval_s = -5.0}),
-        std::invalid_argument);
-  }
+  auto config = small_config();
+  config.topology = net::TopologyConfig{};
+  EXPECT_THROW(par::ShardedDailyRun(config, {.shards = 2}),
+               std::invalid_argument);
 }
 
 // -------------------------------------------------- K=1 == single-threaded
@@ -559,11 +553,6 @@ TEST(ShardedDailyRun, RestoreRejectsDigestMismatch) {
   par::ShardedDailyRun wrong_shards(config, {.shards = 4, .threads = 1});
   EXPECT_THROW(wrong_shards.restore_snapshot(snapshot), std::exception);
 
-  // Different sync interval too.
-  par::ShardedDailyRun wrong_sync(
-      config, {.shards = 2, .threads = 1, .sync_interval_s = 600.0});
-  EXPECT_THROW(wrong_sync.restore_snapshot(snapshot), std::exception);
-
   // A single-calendar snapshot (DailyScenario + CheckpointManager, what
   // run-daily --checkpoint-out wrote before it ran on shards) is refused
   // by a K = 1 run, naming the configuration mismatch.
@@ -786,24 +775,58 @@ TEST(ShardedTelemetry, ObservesAFaultedCheckpointedRunWithoutPerturbingIt) {
 
     par::ShardedDailyRun observed(observed_config,
                                   {.shards = shards, .threads = 2});
-    par::ShardedTelemetry telemetry(
-        observed, {.trace = true, .log_level = obs::LogLevel::kTrace});
+    std::ostringstream log;
+    const auto telemetry = par::attach_telemetry(
+        observed, {.trace = true,
+                   .log_level = obs::LogLevel::kTrace,
+                   .log_out = &log});
     observed.run();
-    telemetry.finalize(config.horizon_s);
+    telemetry->finalize(config.horizon_s);
 
     EXPECT_EQ(events_binary(observed), events_binary(bare));
     expect_samples_identical(observed.merged_samples(), bare.merged_samples());
     EXPECT_EQ(observed.stats().energy_joules, bare.stats().energy_joules);
     EXPECT_EQ(observed.stats().executed_events, bare.stats().executed_events);
 
-    EXPECT_GT(telemetry.log_lines(), 0u);
+    EXPECT_GT(telemetry->log_lines(), 0u);
+    EXPECT_EQ(line_count(log.str()), telemetry->log_lines());
     ASSERT_GT(observed.stats().checkpoints_written, 0u);
     const obs::Counter* written =
-        telemetry.registry().find_counter("ecocloud_checkpoints_written_total");
+        telemetry->registry().find_counter("ecocloud_checkpoints_written_total");
     ASSERT_NE(written, nullptr);
     EXPECT_EQ(written->value(), observed.stats().checkpoints_written);
   }
   std::remove(observed_config.run.checkpoint_out.c_str());
+}
+
+TEST(ShardedTelemetry, OneShardStreamsItsLogAndMoreShardsMergeAtTheEnd) {
+  // Log delivery depends only on the number of calendars: one shard's
+  // records reach the sink by the first barrier, K > 1 shards buffer
+  // theirs until finalize() merges them.
+  const auto config = small_config();
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    par::ShardedDailyRun run(config, {.shards = shards, .threads = 2});
+    std::ostringstream log;
+    const auto telemetry = par::attach_telemetry(
+        run, {.log_level = obs::LogLevel::kTrace, .log_out = &log});
+    std::optional<std::size_t> at_first_barrier;
+    run.on_barrier = [&log, &at_first_barrier,
+                      flush = std::move(run.on_barrier)](sim::SimTime t) {
+      flush(t);
+      if (!at_first_barrier) at_first_barrier = line_count(log.str());
+    };
+    run.run();
+    telemetry->finalize(config.horizon_s);
+
+    ASSERT_TRUE(at_first_barrier.has_value());
+    if (shards == 1) {
+      EXPECT_GT(*at_first_barrier, 0u);
+    } else {
+      EXPECT_EQ(*at_first_barrier, 0u);
+    }
+    EXPECT_EQ(line_count(log.str()), telemetry->log_lines());
+  }
 }
 
 // ---------------------------------------------------------- event-log merge
