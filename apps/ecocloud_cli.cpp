@@ -631,7 +631,7 @@ int run_daily(Options& options) {
 
   par::ShardedDailyRun run(std::move(config), par);
   std::printf(
-      "daily run: %zu servers, %zu VMs, %.0f h (+%.0f h warm-up), "
+      "daily run: %zu servers, %zu VMs, %g h (+%g h warm-up), "
       "%zu shards on %zu threads\n",
       run.config().fleet.num_servers, run.config().num_vms,
       (run.config().horizon_s - run.config().warmup_s) / sim::kHour,
@@ -677,7 +677,7 @@ int run_consolidation(Options& options) {
   options.reject_unknown();
   if (csv_path) require_writable(*csv_path);
 
-  std::printf("consolidation run: %zu servers, %zu initial VMs, %.0f h\n",
+  std::printf("consolidation run: %zu servers, %zu initial VMs, %g h\n",
               config.num_servers, config.initial_vms,
               config.horizon_s / sim::kHour);
   scenario::ConsolidationScenario cons(std::move(config));

@@ -33,7 +33,9 @@ struct AssignmentResult {
   std::size_t contacted = 0;
 };
 
-/// Stateless engine for invitation rounds; all state lives in DataCenter.
+/// Engine for invitation rounds. All behavioral state lives in
+/// DataCenter; the procedure keeps only scratch buffers and a per-server
+/// memo of u^p, both derivable and never checkpointed.
 class AssignmentProcedure {
  public:
   AssignmentProcedure(const EcoCloudParams& params, util::Rng& rng);
@@ -53,8 +55,9 @@ class AssignmentProcedure {
                           dc::ServerId exclude = dc::kNoServer,
                           const std::vector<dc::ServerId>* subset = nullptr) const;
 
-  /// One server's answer to an invitation (exposed for tests and for the
-  /// multi-resource extension, which wraps it with extra trials).
+  /// One server's answer to an invitation, computed without the memo:
+  /// the reference that invite()'s two passes must reproduce draw for
+  /// draw (tests/assignment_test.cpp runs them in lockstep).
   [[nodiscard]] bool server_accepts(const dc::Server& server, sim::SimTime now,
                                     double vm_demand_mhz, double vm_ram_mb,
                                     const AssignmentFunction& fa) const;
@@ -78,6 +81,12 @@ class AssignmentProcedure {
   void set_fault_hooks(const FaultHooks* hooks) { faults_ = hooks; }
 
  private:
+  /// Pass 2's answer of contacted server \p id: server_accepts's
+  /// decision, reading the columns directly and u^p from the memo.
+  [[nodiscard]] bool answers(const dc::ServerSoA& soa, dc::ServerId id,
+                             sim::SimTime now, double vm_demand_mhz,
+                             const AssignmentFunction& fa) const;
+
   const EcoCloudParams& params_;
   util::Rng& rng_;
   AssignmentFunction fa_;
@@ -91,8 +100,16 @@ class AssignmentProcedure {
   /// steady-state round size. Contents never survive a call; mutable for
   /// the same reason as the tally.
   mutable std::vector<dc::ServerId> scratch_contacted_;
+  mutable std::vector<dc::ServerId> scratch_kept_;
   mutable std::vector<dc::ServerId> scratch_volunteers_;
   mutable std::vector<std::uint32_t> scratch_positions_;
+  /// Per-server memo of std::pow(u, p), keyed on the exact double u it was
+  /// computed from (NaN when empty, which no u equals). A server's u rarely
+  /// changes between two of its rounds, so most rounds skip the pow. It
+  /// is a pure function cache, so it is not checkpointed and is valid for
+  /// any fleet; mutable for the same reason as the tally.
+  mutable std::vector<double> memo_u_;
+  mutable std::vector<double> memo_u_to_p_;
 };
 
 }  // namespace ecocloud::core

@@ -55,6 +55,12 @@ class AssignmentFunction {
   /// f_a(u); 0 outside [0, Ta].
   [[nodiscard]] double operator()(double u) const;
 
+  /// f_a(u) for u in [0, Ta], given u^p. operator() is
+  /// from_power(u, std::pow(u, p)), so a memoized u^p gives the same double.
+  [[nodiscard]] double from_power(double u, double u_to_p) const {
+    return u_to_p * (ta_ - u) / mp_;
+  }
+
   /// Copy of this function with a different threshold (used by the
   /// high-migration destination variant, Ta' = 0.9 * u_source).
   [[nodiscard]] AssignmentFunction with_threshold(double new_ta) const;

@@ -18,7 +18,7 @@ double AssignmentFunction::argmax() const { return p_ / (p_ + 1.0) * ta_; }
 
 double AssignmentFunction::operator()(double u) const {
   if (u < 0.0 || u > ta_) return 0.0;
-  return std::pow(u, p_) * (ta_ - u) / mp_;
+  return from_power(u, std::pow(u, p_));
 }
 
 AssignmentFunction AssignmentFunction::with_threshold(double new_ta) const {

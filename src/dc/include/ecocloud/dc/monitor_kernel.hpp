@@ -6,14 +6,17 @@
 /// One pass over the ServerSoA columns computes, for a contiguous id
 /// range, the fast-path effective utilization (demand/capacity clamped to
 /// [0,1] — exact for every server with no outbound migrations) and a
-/// 4-way class byte against the [Tl, Th] band. The loop is branch-light
-/// and touches only dense POD columns, so the compiler vectorizes it; an
-/// AVX2 translation unit and a portable scalar one compile the SAME loop
-/// body and the dispatcher picks at runtime. Every operation in the loop
-/// (divide, compare, clamp via select) is IEEE-exact, so the two builds
-/// are bit-identical by construction — `tests/controller_test.cpp` locks
-/// them together anyway, and CI runs a forced-scalar leg
-/// (ECOCLOUD_FORCE_SCALAR_KERNEL=1). See DESIGN.md §17.
+/// 4-way class byte against the [Tl, Th] band. The loop is branch-free
+/// and touches only dense POD columns, so the compiler vectorizes it. The
+/// class byte is masked by integer arithmetic (`band * live`): a
+/// `live ? band : 0` select kept GCC 12 from if-converting the loop under
+/// its default -ftrapping-math, so it did not vectorize (CI now checks the
+/// AVX2 object for vdivpd). An AVX2 translation unit and a portable scalar
+/// one compile the SAME loop body and the dispatcher picks at runtime.
+/// Every operation in the loop (divide, compare, clamp via select) is
+/// IEEE-exact, so the two builds are bit-identical by construction —
+/// `tests/monitor_kernel_test.cpp` locks them together anyway, and CI runs
+/// a forced-scalar leg (ECOCLOUD_FORCE_SCALAR_KERNEL=1). See DESIGN.md §17.
 
 #include <cstddef>
 #include <cstdint>
@@ -36,7 +39,8 @@ namespace detail {
 
 /// The shared loop body. Compiled once per ISA translation unit; must stay
 /// free of FMA-contractible operations (only divide/compare/select) so
-/// every build produces bit-identical u_eff values.
+/// every build produces bit-identical u_eff values; the class byte stays
+/// integer arithmetic so that the loop vectorizes (see the file comment).
 inline void classify_loop(const std::uint8_t* state, const std::uint32_t* vm_count,
                           const double* demand_mhz, const double* capacity_mhz,
                           std::size_t begin, std::size_t end, double tl, double th,
@@ -52,7 +56,7 @@ inline void classify_loop(const std::uint8_t* state, const std::uint32_t* vm_cou
     const std::uint8_t band = static_cast<std::uint8_t>(
         1u + (u < tl ? 1u : 0u) + (u > th ? 2u : 0u));
     const bool live = (state[i] == kActiveByte) & (vm_count[i] != 0u);
-    cls[i] = live ? band : std::uint8_t{0};
+    cls[i] = static_cast<std::uint8_t>(band * live);
   }
 }
 

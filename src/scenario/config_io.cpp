@@ -223,6 +223,11 @@ ConsolidationConfig load_consolidation_config(std::istream& in) {
       kv.get_double("metrics_period_s", config.sample_period_s);
   config.seed = static_cast<std::uint64_t>(
       kv.get_int("seed", static_cast<long long>(config.seed)));
+  // A zero lifetime makes the departure rate 1/0 and the run never ends.
+  require_key(kv, std::isfinite(config.mean_lifetime_s) && config.mean_lifetime_s > 0.0,
+              "mean_lifetime_hours", "must be finite and > 0");
+  require_key(kv, std::isfinite(config.sample_period_s) && config.sample_period_s > 0.0,
+              "metrics_period_s", "must be finite and > 0");
 
   load_params(kv, config.params);
   load_workload(kv, config.workload);

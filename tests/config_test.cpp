@@ -213,6 +213,40 @@ TEST(ConfigIo, RejectsWrappedCoreCountsBadWarmupsAndEmptyFleets) {
             4294967295u);
 }
 
+TEST(ConfigIo, RejectsLifetimesAndMetricPeriodsThatHangOrFailLate) {
+  // A zero lifetime made the departure rate 1/0 and run-consolidation never
+  // ended; a negative one failed inside PoissonArrivals and a zero metrics
+  // period inside RateWindow, neither naming the key. Each is now refused
+  // by key and line.
+  const auto expect_refused = [](const std::string& text, const std::string& key,
+                                 int line) {
+    std::istringstream in(text);
+    try {
+      (void)scenario::load_consolidation_config(in);
+      ADD_FAILURE() << "config accepted: " << text;
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("(line " + std::to_string(line) + ")"), std::string::npos)
+          << what;
+    }
+  };
+  for (const char* value : {"0", "-1", "nan", "inf", "-inf", "1e308"}) {
+    expect_refused(std::string("servers = 8\nmean_lifetime_hours = ") + value + "\n",
+                   "mean_lifetime_hours", 2);
+  }
+  for (const char* value : {"0", "-900", "nan", "inf"}) {
+    expect_refused(std::string("metrics_period_s = ") + value + "\n",
+                   "metrics_period_s", 1);
+  }
+
+  // Small positive values still load.
+  std::istringstream edges("mean_lifetime_hours = 0.001\nmetrics_period_s = 0.5\n");
+  const auto config = scenario::load_consolidation_config(edges);
+  EXPECT_DOUBLE_EQ(config.mean_lifetime_s, 0.001 * sim::kHour);
+  EXPECT_DOUBLE_EQ(config.sample_period_s, 0.5);
+}
+
 TEST(ConfigIo, ConsolidationDefaultsAndOverrides) {
   std::istringstream empty;
   const auto defaults = scenario::load_consolidation_config(empty);

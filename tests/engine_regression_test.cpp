@@ -18,6 +18,8 @@
 
 #include "ecocloud/metrics/event_log.hpp"
 #include "ecocloud/metrics/event_log_binary.hpp"
+#include "ecocloud/par/sharded_runner.hpp"
+#include "ecocloud/scenario/config_io.hpp"
 #include "ecocloud/scenario/scenario.hpp"
 #include "ecocloud/trace/trace_set.hpp"
 
@@ -117,6 +119,66 @@ TEST(EngineRegression, ScaleUpEventStreamPinned) {
       << " events=" << fp.events << " hash=" << fp.hash << ")";
   EXPECT_EQ(fp.bytes, 2629411u);
   EXPECT_EQ(fp.events, 86001u);
+}
+
+// ------------------------------------------------ invitation-round variants
+//
+// The pins above run the paper's broadcast round only. These three pin the
+// round's other paths on small fleets, each at K = 1 and K = 4 shards and
+// on 1 and 4 threads (the thread count must not matter): a lossy control
+// plane, rack-scoped group invitations (the subset path, which skips
+// inactive rack members) and the compat sampler's partial Fisher-Yates
+// group. The digests were recorded before the round was split into a
+// filter pass and a draw pass.
+
+/// FNV-1a digest of the merged event CSV of a sharded run.
+std::uint64_t sharded_digest(const std::string& config_text, std::size_t shards,
+                             std::size_t threads) {
+  std::istringstream in(config_text);
+  par::ShardedDailyRun run(scenario::load_daily_config(in),
+                           {.shards = shards, .threads = threads});
+  run.run();
+  std::ostringstream csv;
+  run.write_events_csv(csv);
+  return fnv1a(csv.str());
+}
+
+const std::string kSmallFleet =
+    "servers = 48\nvms = 600\nhorizon_hours = 12\nwarmup_hours = 1\nseed = 7\n";
+
+void expect_pinned(const std::string& config_text, std::uint64_t k1_digest,
+                   std::uint64_t k4_digest) {
+  for (const std::size_t threads : {1u, 4u}) {
+    EXPECT_EQ(sharded_digest(config_text, 1, threads), k1_digest)
+        << "K = 1 on " << threads << " threads";
+    EXPECT_EQ(sharded_digest(config_text, 4, threads), k4_digest)
+        << "K = 4 on " << threads << " threads";
+  }
+}
+
+TEST(EngineRegression, LossyControlPlaneRoundsPinned) {
+  // Every round samples drop_invitation per contacted server and
+  // drop_reply per reply from the fault stream, interleaved in contacted
+  // order; crashes keep the active set churning.
+  expect_pinned(kSmallFleet +
+                    "faults.server_mtbf_s = 7200\n"
+                    "faults.invitation_loss_prob = 0.05\n"
+                    "faults.reply_loss_prob = 0.05\n",
+                5513234371645964139ULL, 14466168947232945188ULL);
+}
+
+TEST(EngineRegression, RackRoundsPinned) {
+  // Racks need a single shard, so only K = 1 is pinned.
+  const std::string config = kSmallFleet + "racks = 4\n";
+  for (const std::size_t threads : {1u, 4u}) {
+    EXPECT_EQ(sharded_digest(config, 1, threads), 7370563664780509271ULL)
+        << "K = 1 on " << threads << " threads";
+  }
+}
+
+TEST(EngineRegression, CompatGroupInvitationRoundsPinned) {
+  expect_pinned(kSmallFleet + "invite_group_size = 8\n", 16663853763759270038ULL,
+                10853529250766085884ULL);
 }
 
 }  // namespace
